@@ -11,6 +11,14 @@ coincidence circuit of resolution T_c.  True coincidences follow the
 squared two-photon amplitude; accidentals are R1 R2 T_c, which sets the
 g2 = 1 floor.
 
+Every rate comes from one elementwise kernel of the qutrit amplitudes and
+the two filter modes.  It uses only +, *, conjugate, real and imag, so the
+sweeps run it on numpy columns and the scalar API (`singles_rate`,
+`coincidence_rate`, `g2`, `detection_amplitude`) on Python complex
+numbers.  The detection amplitude is vdot(F(f1, f2), state) with
+F(c, d) = (sqrt2 c_h d_h, c_h d_v + c_v d_h, sqrt2 c_v d_v), so no rate
+needs the state's halves; they are factorized only where they are reported.
+
 Absolute scales are model conventions: the default RateModel (1e4 pairs/s,
 10% efficiencies, T_c = 5.5 ns, no background) gives realistic g2 contrast,
 and the factor 1/2 for the pair splitting at the beamsplitter is fixed.
@@ -25,19 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import (
-    JonesVector,
-    linear_jones,
-    stokes_from_jones,
-    waveplate,
-)
-from .qutrit import (
-    BiphotonQutrit,
-    factor_qutrit,
-    pair_amplitude,
-    pair_norm,
-    stokes_expectation,
-)
+from .polarization import JonesVector
+from .qutrit import BiphotonQutrit
 
 __all__ = [
     "SourceSetting",
@@ -59,6 +56,7 @@ __all__ = [
 ]
 
 DEFAULT_GRID_STEP = 0.5
+_SQRT2 = math.sqrt(2.0)
 
 
 class ZeroSinglesError(ValueError):
@@ -106,33 +104,97 @@ class RateModel:
             raise ValueError("coincidence_window must be positive")
 
 
+def _source_amplitudes(sin_2chi, cos_2chi, delta_phi: float):
+    """(sin 2chi, 0, e^{i dphi} cos 2chi), elementwise in the sines and cosines."""
+    return sin_2chi, 0.0, cmath.exp(1j * math.radians(delta_phi)) * cos_2chi
+
+
 def source_state(setting: SourceSetting) -> BiphotonQutrit:
     """Qutrit emitted by the two-crystal source: (sin 2chi, 0, e^{i dphi} cos 2chi)."""
     two_chi = math.radians(2.0 * setting.chi)
-    phase = cmath.exp(1j * math.radians(setting.delta_phi))
-    return BiphotonQutrit(math.sin(two_chi), 0.0, phase * math.cos(two_chi))
+    return BiphotonQutrit(
+        *_source_amplitudes(math.sin(two_chi), math.cos(two_chi), setting.delta_phi)
+    )
+
+
+def _selected_mode(cos_a, sin_a, cos_z, sin_z):
+    """(h, v) of W(a)^dagger (cos z, sin z), with W(a) the QWP at axis a.
+
+    A state passes the QWP and a polarizer at z fully iff the plate maps it
+    onto the polarizer axis, so this is the mode the filter selects.
+    Elementwise in the cosines and sines of a and z.
+    """
+    cross = (1.0 + 1.0j) * (cos_a * sin_a)
+    h = (cos_a * cos_a - 1.0j * (sin_a * sin_a)) * cos_z + cross * sin_z
+    v = cross * cos_z + (sin_a * sin_a - 1.0j * (cos_a * cos_a)) * sin_z
+    return h, v
+
+
+def _filter_mode(f: FilterSetting) -> tuple[complex, complex]:
+    a = math.radians(f.qwp_axis)
+    z = math.radians(f.polarizer_angle)
+    return _selected_mode(math.cos(a), math.sin(a), math.cos(z), math.sin(z))
 
 
 def filter_jones(f: FilterSetting) -> JonesVector:
-    """Polarization selected by a QWP followed by a linear polarizer.
+    """Polarization selected by a QWP followed by a linear polarizer."""
+    return JonesVector(*_filter_mode(f))
 
-    A state passes fully iff the QWP maps it onto the polarizer axis, so the
-    selected mode is the inverse QWP transform of the linear state.
+
+def _amplitude(c1, c2, c3, h1, v1, h2, v2):
+    """vdot(F(f1, f2), C): the amplitude that modes f1 and f2 take the pair C."""
+    return (
+        (_SQRT2 * (h1 * h2)).conjugate() * c1
+        + (h1 * v2 + v1 * h2).conjugate() * c2
+        + (_SQRT2 * (v1 * v2)).conjugate() * c3
+    )
+
+
+def _abs2(z):
+    return z.real * z.real + z.imag * z.imag
+
+
+def _photons_in_mode(s1, s2, s3, h, v):
+    """Mean number of pair photons in mode (h, v): 1 + u . s.
+
+    u is the mode's Stokes vector and s = (s1, s2, s3) the pair's
+    per-photon Stokes expectation.
     """
-    qwp = waveplate(90.0, f.qwp_axis)
-    lin = linear_jones(f.polarizer_angle).as_array()
-    out = qwp.conj().T @ lin
-    return JonesVector(out[0], out[1])
+    cross = h.conjugate() * v
+    return 1.0 + ((_abs2(h) - _abs2(v)) * s1 + 2.0 * cross.real * s2 + 2.0 * cross.imag * s3)
+
+
+def _rates(c1, c2, c3, h1, v1, h2, v2, m: RateModel):
+    """(R1, R2, Rc) in counts/s for the pair C behind filter modes f1 and f2.
+
+    Half of the pair flux reaches each detector.  Only + * conjugate real
+    imag are used, so this runs elementwise on numpy columns and on Python
+    complex scalars alike.
+    """
+    x = c1.conjugate() * c2 + c2.conjugate() * c3
+    s = (_abs2(c1) - _abs2(c3), _SQRT2 * x.real, _SQRT2 * x.imag)
+    amp = _amplitude(c1, c2, c3, h1, v1, h2, v2)
+    r1 = m.pair_rate * m.eta1 * 0.5 * _photons_in_mode(*s, h1, v1) + m.background1
+    r2 = m.pair_rate * m.eta2 * 0.5 * _photons_in_mode(*s, h2, v2) + m.background2
+    rc = m.pair_rate * m.eta1 * m.eta2 * 0.5 * _abs2(amp)
+    return r1, r2, rc
+
+
+def _g2(r1, r2, rc, m: RateModel):
+    """Total coincidences over accidentals; the caller rules out zero singles."""
+    accidental = r1 * r2 * m.coincidence_window
+    return (rc + accidental) / accidental
+
+
+def _state_rates(state: BiphotonQutrit, f1: FilterSetting, f2: FilterSetting, m: RateModel):
+    return _rates(state.c1, state.c2, state.c3, *_filter_mode(f1), *_filter_mode(f2), m)
 
 
 def detection_amplitude(
     state: BiphotonQutrit, f1: FilterSetting, f2: FilterSetting
 ) -> complex:
     """Normalized two-photon amplitude for joint transmission of the filters."""
-    a, b = factor_qutrit(state).jones()
-    c = filter_jones(f1)
-    d = filter_jones(f2)
-    return pair_amplitude(c, d, a, b) / pair_norm(a, b)
+    return _amplitude(state.c1, state.c2, state.c3, *_filter_mode(f1), *_filter_mode(f2))
 
 
 def coincidence_rate(
@@ -142,8 +204,7 @@ def coincidence_rate(
     m: RateModel = RateModel(),
 ) -> float:
     """True coincidence rate in counts/s (accidentals excluded)."""
-    amp = detection_amplitude(state, f1, f2)
-    return m.pair_rate * m.eta1 * m.eta2 * 0.5 * abs(amp) ** 2
+    return _state_rates(state, f1, f2, m)[2]
 
 
 def rate_closed_form(chi, zeta1, zeta2):
@@ -172,12 +233,7 @@ def singles_rate(
     """
     if detector not in (1, 2):
         raise ValueError("detector must be 1 or 2")
-    u = stokes_from_jones(filter_jones(f)).as_array()
-    s = stokes_expectation(state).as_array()
-    mean_photons = 1.0 + float(np.dot(u, s))
-    eta = m.eta1 if detector == 1 else m.eta2
-    background = m.background1 if detector == 1 else m.background2
-    return m.pair_rate * eta * 0.5 * mean_photons + background
+    return _state_rates(state, f, f, m)[detector - 1]
 
 
 def g2(
@@ -187,12 +243,10 @@ def g2(
     m: RateModel = RateModel(),
 ) -> float:
     """Normalized second-order correlation (total coincidences / accidentals)."""
-    r1 = singles_rate(state, f1, m, detector=1)
-    r2 = singles_rate(state, f2, m, detector=2)
+    r1, r2, rc = _state_rates(state, f1, f2, m)
     if r1 <= 0.0 or r2 <= 0.0:
         raise ZeroSinglesError("g2 undefined: a singles rate is zero")
-    accidental = r1 * r2 * m.coincidence_window
-    return (coincidence_rate(state, f1, f2, m) + accidental) / accidental
+    return _g2(r1, r2, rc, m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,22 +322,19 @@ def _validate_grid(grid, default: np.ndarray) -> np.ndarray:
     return values
 
 
-def _rate_rows(states, filters1, filters2, m: RateModel):
-    r1 = np.empty(len(states))
-    r2 = np.empty(len(states))
-    rc = np.empty(len(states))
-    gg = np.empty(len(states))
-    for i, (state, f1, f2) in enumerate(zip(states, filters1, filters2)):
-        r1[i] = singles_rate(state, f1, m, detector=1)
-        r2[i] = singles_rate(state, f2, m, detector=2)
-        if r1[i] <= 0.0 or r2[i] <= 0.0:
-            raise ZeroSinglesError(
-                f"g2 undefined at {states[i]}: a singles rate is zero"
-            )
-        rc[i] = coincidence_rate(state, f1, f2, m)
-        accidental = r1[i] * r2[i] * m.coincidence_window
-        gg[i] = (rc[i] + accidental) / accidental
-    return r1, r2, rc, gg
+def _sweep_result(
+    name: str, grid: np.ndarray, rates, m: RateModel, seed, duration: float, drift: float
+) -> SweepResult:
+    r1, r2, rc = (np.broadcast_to(column, grid.shape).copy() for column in rates)
+    zero = np.flatnonzero((r1 <= 0.0) | (r2 <= 0.0))
+    if zero.size:
+        raise ZeroSinglesError(
+            f"g2 undefined at {name} = {grid[zero[0]]:.4f} deg: a singles rate is zero"
+        )
+    result = SweepResult(name, grid, r1, r2, rc, _g2(r1, r2, rc, m), m.coincidence_window)
+    if seed is not None:
+        result = simulate_counts(result, duration, seed, drift)
+    return result
 
 
 def sweep_chi(
@@ -302,14 +353,12 @@ def sweep_chi(
     rates (see simulate_counts).
     """
     grid = _validate_grid(chi_grid, np.linspace(0.0, 90.0, 181))
-    states = [source_state(SourceSetting(chi, delta_phi)) for chi in grid]
-    f1 = FilterSetting(zeta1, zeta1)
-    f2 = FilterSetting(zeta2, zeta2)
-    r1, r2, rc, gg = _rate_rows(states, [f1] * len(states), [f2] * len(states), m)
-    result = SweepResult("chi", grid, r1, r2, rc, gg, m.coincidence_window)
-    if seed is not None:
-        result = simulate_counts(result, duration_per_point, seed, pump_drift)
-    return result
+    two_chi = np.radians(2.0 * grid)
+    amplitudes = _source_amplitudes(np.sin(two_chi), np.cos(two_chi), delta_phi)
+    f1 = _filter_mode(FilterSetting(zeta1, zeta1))
+    f2 = _filter_mode(FilterSetting(zeta2, zeta2))
+    rates = _rates(*amplitudes, *f1, *f2, m)
+    return _sweep_result("chi", grid, rates, m, seed, duration_per_point, pump_drift)
 
 
 def sweep_filter(
@@ -328,19 +377,16 @@ def sweep_filter(
         raise ValueError("which_filter must be 'P1' or 'P2'")
     grid = _validate_grid(zeta_grid, np.linspace(0.0, 90.0, 181))
     state = source_state(SourceSetting(chi, delta_phi))
-    states = [state] * len(grid)
-    scanned = [FilterSetting(z, z) for z in grid]
-    fixed = [FilterSetting(fixed_zeta, fixed_zeta)] * len(grid)
+    zeta = np.radians(grid)
+    cos_z, sin_z = np.cos(zeta), np.sin(zeta)
+    scanned = _selected_mode(cos_z, sin_z, cos_z, sin_z)
+    fixed = _filter_mode(FilterSetting(fixed_zeta, fixed_zeta))
     if which_filter == "P1":
-        r1, r2, rc, gg = _rate_rows(states, scanned, fixed, m)
-        name = "zeta1"
+        f1, f2, name = scanned, fixed, "zeta1"
     else:
-        r1, r2, rc, gg = _rate_rows(states, fixed, scanned, m)
-        name = "zeta2"
-    result = SweepResult(name, grid, r1, r2, rc, gg, m.coincidence_window)
-    if seed is not None:
-        result = simulate_counts(result, duration_per_point, seed, pump_drift)
-    return result
+        f1, f2, name = fixed, scanned, "zeta2"
+    rates = _rates(state.c1, state.c2, state.c3, *f1, *f2, m)
+    return _sweep_result(name, grid, rates, m, seed, duration_per_point, pump_drift)
 
 
 def simulate_counts(

@@ -23,9 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polarization import (
+    _PHASE_REF_TOL,
     JonesVector,
     PoincarePoint,
     StokesVector,
+    _wrap_angle,
     jones_from_poincare,
     overlap,
     poincare_from_jones,
@@ -48,7 +50,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_PHASE_REF_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -116,11 +117,7 @@ class BiphotonQutrit:
 
 
 def _arg_diff_degrees(x: complex, y: complex) -> float:
-    diff = math.degrees(cmath.phase(x) - cmath.phase(y))
-    wrapped = math.remainder(diff, 360.0)
-    if wrapped <= -180.0:
-        wrapped += 360.0
-    return wrapped
+    return _wrap_angle(math.degrees(cmath.phase(x) - cmath.phase(y)))
 
 
 @dataclass(frozen=True)

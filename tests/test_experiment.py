@@ -31,6 +31,8 @@ from biphoton import (
     sweep_chi,
     sweep_filter,
 )
+from biphoton.experiment import _g2, _rates, _selected_mode
+from oracles import fock_amplitude, fock_pair_vector, ladder_stokes_operators, random_jones
 
 M = RateModel()
 LIN45 = FilterSetting(45.0, 45.0)
@@ -116,15 +118,67 @@ def test_coincidence_zero_at_orthogonal_configs():
     assert coincidence_rate(state_c, LIN45, linear_filter(-60.0), M) < 1e-20
 
 
+def linear_mode_columns(zetas: np.ndarray):
+    """Filter modes of FilterSetting(zeta, zeta) as columns, like the sweeps build them."""
+    z = np.radians(zetas)
+    cos_z, sin_z = np.cos(z), np.sin(z)
+    return _selected_mode(cos_z, sin_z, cos_z, sin_z)
+
+
 def test_coincidence_maximum_for_hv_with_matched_filters():
     hv = qutrit_from_jones_pair(NAMED_STATES["H"], NAMED_STATES["V"])
     target = coincidence_rate(hv, linear_filter(0.0), linear_filter(90.0), M)
-    best = 0.0
-    for z1 in np.arange(0.0, 180.0, 1.0):
-        f1 = linear_filter(z1)
-        for z2 in np.arange(0.0, 180.0, 1.0):
-            best = max(best, coincidence_rate(hv, f1, linear_filter(z2), M))
+    z1, z2 = np.meshgrid(np.arange(0.0, 180.0, 1.0), np.arange(0.0, 180.0, 1.0))
+    h1, v1 = linear_mode_columns(z1.ravel())
+    h2, v2 = linear_mode_columns(z2.ravel())
+    rc = _rates(hv.c1, hv.c2, hv.c3, h1, v1, h2, v2, M)[2]
+    best = rc.max()
     assert target >= best - 1e-12 * best
+
+
+def test_rate_kernel_matches_scalar_api_and_oracles():
+    rng = np.random.default_rng(45)
+    m = RateModel(pair_rate=3.0e4, eta1=0.2, eta2=0.15, background1=2.0, background2=5.0)
+    n = 200
+    pairs = [(random_jones(rng), random_jones(rng)) for _ in range(n)]
+    states = [qutrit_from_jones_pair(a, b) for a, b in pairs]
+    # elliptical filters: QWP axis and polarizer angle drawn independently
+    angles = rng.uniform(-90.0, 90.0, size=(4, n))
+    filters1 = [FilterSetting(a, z) for a, z in zip(angles[0], angles[1])]
+    filters2 = [FilterSetting(a, z) for a, z in zip(angles[2], angles[3])]
+
+    # array path: the kernel on columns
+    c = np.array([s.amplitudes() for s in states]).T
+    a1, z1, a2, z2 = np.radians(angles)
+    mode1 = _selected_mode(np.cos(a1), np.sin(a1), np.cos(z1), np.sin(z1))
+    mode2 = _selected_mode(np.cos(a2), np.sin(a2), np.cos(z2), np.sin(z2))
+    r1, r2, rc = _rates(*c, *mode1, *mode2, m)
+    gg = _g2(r1, r2, rc, m)
+
+    # first-principles references: Fock vectors and ladder-built Stokes operators
+    ops = ladder_stokes_operators()
+    scale = m.pair_rate * max(m.eta1, m.eta2)
+    for i, (state, (a, b), f1, f2) in enumerate(zip(states, pairs, filters1, filters2)):
+        j1, j2 = filter_jones(f1), filter_jones(f2)
+        norm = np.linalg.norm(fock_pair_vector(a, b))
+        amp = fock_amplitude(j1, j2, a, b) / norm
+        s = np.array([np.vdot(state.amplitudes(), op @ state.amplitudes()).real / 2 for op in ops])
+        ref1 = m.pair_rate * m.eta1 * 0.5 * (1.0 + stokes_from_jones(j1).as_array() @ s) + m.background1
+        ref2 = m.pair_rate * m.eta2 * 0.5 * (1.0 + stokes_from_jones(j2).as_array() @ s) + m.background2
+        refc = m.pair_rate * m.eta1 * m.eta2 * 0.5 * abs(amp) ** 2
+        ref_g2 = (refc + ref1 * ref2 * m.coincidence_window) / (ref1 * ref2 * m.coincidence_window)
+
+        assert abs(abs(detection_amplitude(state, f1, f2)) - abs(amp)) < 1e-12
+        for array, scalar, ref in (
+            (r1[i], singles_rate(state, f1, m, detector=1), ref1),
+            (r2[i], singles_rate(state, f2, m, detector=2), ref2),
+            (rc[i], coincidence_rate(state, f1, f2, m), refc),
+        ):
+            assert abs(array - scalar) <= 1e-12 * scale
+            assert abs(scalar - ref) <= 1e-12 * scale
+        scalar_g2 = g2(state, f1, f2, m)
+        assert abs(gg[i] - scalar_g2) <= 1e-12 * ref_g2
+        assert abs(scalar_g2 - ref_g2) <= 1e-12 * ref_g2
 
 
 def test_rate_closed_form_anchors():
@@ -300,6 +354,15 @@ def test_sweep_source_halves_walk_equator_then_meridian():
         pair = factor_qutrit(source_state(SourceSetting(chi, 180.0)))
         for j in pair.jones():
             assert abs(stokes_from_jones(j).s2) < 1e-9
+
+
+def test_sweep_zero_singles_names_first_offending_value():
+    # VV source behind an H polarizer: detector 1 sees nothing at zeta1 = 0
+    with pytest.raises(ZeroSinglesError, match=r"zeta1 = 0\.0000 deg"):
+        sweep_filter(0.0, which_filter="P1", fixed_zeta=60.0, zeta_grid=[0.0, 10.0])
+    # HH source at chi = 45 behind a V polarizer, raised before any sampling
+    with pytest.raises(ZeroSinglesError, match=r"chi = 45\.0000 deg"):
+        sweep_chi(90.0, 60.0, chi_grid=[0.0, 45.0, 50.0], seed=3)
 
 
 def test_sweep_grid_validation():
