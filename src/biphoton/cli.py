@@ -289,12 +289,14 @@ def run_sweep(cfg: RunConfig) -> int:
     out_name = cfg.output_path or f"sweep_{params['kind']}.{cfg.output_format}"
     path = _resolve_output_path(out_name)
     result.write(path, cfg.output_format)
-    best_param, best_g2 = result.argmin_g2()
+    if np.isnan(result.g2).all():  # a seeded run whose sampled singles all vanish
+        print(f"wrote {path}\nmin g2 undefined: g2 is nan at every point")
+        return EXIT_OK
     i = int(np.nanargmin(result.g2))
     print(
         f"wrote {path}\n"
-        f"argmin {result.param_name} = {best_param:.4f} deg, "
-        f"min g2 = {best_g2:.6f}, Rc there = {result.rc[i]:.8e}"
+        f"argmin {result.param_name} = {result.param[i]:.4f} deg, "
+        f"min g2 = {result.g2[i]:.6f}, Rc there = {result.rc[i]:.8e}"
     )
     return EXIT_OK
 

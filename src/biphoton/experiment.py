@@ -29,6 +29,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,17 @@ __all__ = [
 
 DEFAULT_GRID_STEP = 0.5
 _SQRT2 = math.sqrt(2.0)
+
+_CSV_HEADER = "param,R1,R2,Rc,g2\n"
+_CSV_ROW = "%.6f,%.8e,%.8e,%.8e,%.8e\n"
+# One row of json.dumps(..., indent=2, sort_keys=True): keys in sorted order.
+_JSON_ROW = (
+    '    {\n      "R1": %s,\n      "R2": %s,\n      "Rc": %s,\n'
+    '      "g2": %s,\n      "param": %s\n    }'
+)
+# json's spelling of the floats repr writes as nan, inf and -inf (NaN reads
+# null because to_json_obj maps it to None).
+_JSON_NON_FINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 class ZeroSinglesError(ValueError):
@@ -98,10 +110,10 @@ class RateModel:
 
     def __post_init__(self) -> None:
         for name in ("pair_rate", "eta1", "eta2", "background1", "background2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.coincidence_window <= 0:
-            raise ValueError("coincidence_window must be positive")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
+        if not 0.0 < self.coincidence_window < math.inf:
+            raise ValueError("coincidence_window must be finite and positive")
 
 
 def _source_amplitudes(sin_2chi, cos_2chi, delta_phi: float):
@@ -277,10 +289,8 @@ class SweepResult:
         return float(self.param[i]), float(self.g2[i])
 
     def to_csv(self) -> str:
-        lines = ["param,R1,R2,Rc,g2"]
-        for p, a, b, c, g in zip(self.param, self.r1, self.r2, self.rc, self.g2):
-            lines.append(f"{p:.6f},{a:.8e},{b:.8e},{c:.8e},{g:.8e}")
-        return "\n".join(lines) + "\n"
+        table = np.column_stack((self.param, self.r1, self.r2, self.rc, self.g2))
+        return _CSV_HEADER + (_CSV_ROW * len(table)) % tuple(table.ravel().tolist())
 
     def to_json_obj(self) -> dict:
         def column(values: np.ndarray) -> list:
@@ -303,28 +313,75 @@ class SweepResult:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
+        """The text of json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\\n".
+
+        Built from whole columns: every number is its float repr, as json
+        writes it, filled into one row template.
+        """
+        head = (
+            '{\n  "coincidence_window": %s,\n  "duration": %s,\n  "param_name": %s,\n  "rows": '
+            % tuple(map(json.dumps, (self.coincidence_window, self.duration, self.param_name)))
+        )
+        if not len(self):
+            return head + "[]\n}\n"
+        table = np.column_stack((self.r1, self.r2, self.rc, self.g2, self.param))
+        tokens = list(map(repr, table.ravel().tolist()))
+        if not np.isfinite(table).all():
+            tokens = [_JSON_NON_FINITE.get(t, t) for t in tokens]
+        rows = ",\n".join([_JSON_ROW] * len(table)) % tuple(tokens)
+        return head + "[\n" + rows + "\n  ]\n}\n"
 
     def write(self, path, fmt: str = "csv") -> None:
+        """Write the CSV or JSON text to path atomically.
+
+        The text goes to a temporary file in the same directory, which then
+        replaces path, so path never holds a partial table.  The temporary
+        name is random per call, so concurrent writes of one path never share
+        (or delete) each other's file.
+        """
         text = self.to_csv() if fmt == "csv" else self.to_json()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+        fh = open(tmp, "x", encoding="utf-8")
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.remove(tmp)
+            raise
 
 
-def _validate_grid(grid, default: np.ndarray) -> np.ndarray:
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _validate_grid(name: str, grid, default: np.ndarray) -> np.ndarray:
     if grid is None:
         return default
     values = np.asarray(grid, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("grid must be a non-empty 1-d sequence of angles")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must hold finite angles only")
     if values.size > 1 and not np.all(np.diff(values) > 0):
         raise ValueError("grid must be strictly increasing")
     return values
 
 
+def _check_sampling(duration: float, drift: float) -> None:
+    if not 0.0 < duration < math.inf:
+        raise ValueError(f"duration_per_point must be finite and positive, got {duration}")
+    if not 0.0 <= drift <= 1.0:
+        raise ValueError(f"pump_drift must be finite and in [0, 1], got {drift}")
+
+
 def _sweep_result(
     name: str, grid: np.ndarray, rates, m: RateModel, seed, duration: float, drift: float
 ) -> SweepResult:
+    # checked with or without a seed, so an unused bad value is not ignored
+    _check_sampling(duration, drift)
     r1, r2, rc = (np.broadcast_to(column, grid.shape).copy() for column in rates)
     zero = np.flatnonzero((r1 <= 0.0) | (r2 <= 0.0))
     if zero.size:
@@ -352,7 +409,8 @@ def sweep_chi(
     With a seed, Poisson counts over duration_per_point replace the ideal
     rates (see simulate_counts).
     """
-    grid = _validate_grid(chi_grid, np.linspace(0.0, 90.0, 181))
+    _require_finite(zeta1=zeta1, zeta2=zeta2, delta_phi=delta_phi)
+    grid = _validate_grid("chi_grid", chi_grid, np.linspace(0.0, 90.0, 181))
     two_chi = np.radians(2.0 * grid)
     amplitudes = _source_amplitudes(np.sin(two_chi), np.cos(two_chi), delta_phi)
     f1 = _filter_mode(FilterSetting(zeta1, zeta1))
@@ -375,7 +433,8 @@ def sweep_filter(
     """Scan one polarizer with the source and the other polarizer fixed."""
     if which_filter not in ("P1", "P2"):
         raise ValueError("which_filter must be 'P1' or 'P2'")
-    grid = _validate_grid(zeta_grid, np.linspace(0.0, 90.0, 181))
+    _require_finite(chi=chi, delta_phi=delta_phi, fixed_zeta=fixed_zeta)
+    grid = _validate_grid("zeta_grid", zeta_grid, np.linspace(0.0, 90.0, 181))
     state = source_state(SourceSetting(chi, delta_phi))
     zeta = np.radians(grid)
     cos_z, sin_z = np.cos(zeta), np.sin(zeta)
@@ -397,26 +456,20 @@ def simulate_counts(
 ) -> SweepResult:
     """Replace ideal rates by Poisson counts accumulated per grid point.
 
-    Each row draws from its own generator spawned from the master seed, so
-    the output is reproducible regardless of evaluation order.  pump_drift
-    is the total fractional power decrease across the sweep, applied as a
-    linear ramp.
+    All rows are drawn in one call from a single generator seeded with
+    `seed`, row by row in table order, so a seed gives the same counts on
+    every run.  pump_drift is the total fractional power decrease across
+    the sweep, applied as a linear ramp; it must lie in [0, 1].
     """
-    if duration_per_point <= 0:
-        raise ValueError("duration_per_point must be positive")
+    _check_sampling(duration_per_point, pump_drift)
     n = len(result)
     if n > 1 and pump_drift:
         ramp = 1.0 - pump_drift * np.arange(n) / (n - 1)
     else:
         ramp = np.ones(n)
-    children = np.random.SeedSequence(seed).spawn(n)
-    counts = np.empty((n, 3))
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        means = ramp[i] * duration_per_point * np.array(
-            [result.r1[i], result.r2[i], result.rc[i]]
-        )
-        counts[i] = rng.poisson(means)
+    rates = np.column_stack((result.r1, result.r2, result.rc))
+    means = (ramp * duration_per_point)[:, None] * rates
+    counts = np.random.default_rng(seed).poisson(means).astype(float)
     est1 = counts[:, 0] / duration_per_point
     est2 = counts[:, 1] / duration_per_point
     estc = counts[:, 2] / duration_per_point

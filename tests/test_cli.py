@@ -185,6 +185,56 @@ def test_sweep_unwritable_path(capsys):
     assert code == EXIT_IO
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["--z1", "nan"],
+        ["--z2", "inf"],
+        ["--dphi", "nan"],
+        ["--tc", "nan"],
+        ["--pair-rate", "inf"],
+        ["--seed", "1", "--drift", "1.5"],
+        ["--seed", "1", "--duration", "inf"],
+        ["--drift", "1.5"],
+        ["--duration", "inf"],
+    ],
+    ids=["z1-nan", "z2-inf", "dphi-nan", "tc-nan", "pair-rate-inf", "drift", "duration",
+         "drift-unseeded", "duration-unseeded"],
+)
+def test_sweep_bad_input_writes_no_file(tmp_path, capsys, bad):
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "chi", *bad, "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
+    assert "error:" in capsys.readouterr().err
+
+
+def test_sweep_with_every_g2_nan_writes_its_file(tmp_path, capsys):
+    out = tmp_path / "e.csv"
+    argv = ["sweep", "chi", "--grid", "0:90:10", "--pair-rate", "1e-3", "--seed", "1"]
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    rows = out.read_text().splitlines()
+    assert len(rows) == 11 and all(row.endswith(",nan") for row in rows[1:])
+    assert "min g2 undefined" in capsys.readouterr().out
+
+
+def test_sweep_write_is_atomic(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "s.csv"
+    out.write_text("previous\n")
+
+    def failing_replace(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    assert main(["sweep", "chi", "--grid", "0:90:10", "--out", str(out)]) == EXIT_IO
+    assert out.read_text() == "previous\n"
+    assert list(tmp_path.iterdir()) == [out]
+    monkeypatch.undo()
+    assert main(["sweep", "chi", "--grid", "0:90:10", "--out", str(out)]) == EXIT_OK
+    assert out.read_text().startswith("param,R1,R2,Rc,g2\n")
+    assert list(tmp_path.iterdir()) == [out]
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])

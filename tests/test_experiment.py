@@ -372,6 +372,22 @@ def test_sweep_grid_validation():
         sweep_chi(45.0, 60.0, 180.0, M, chi_grid=[10.0, 5.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sweeps_reject_non_finite_angles_and_grids(bad):
+    for call, name in (
+        (lambda: sweep_chi(bad, 60.0), "zeta1"),
+        (lambda: sweep_chi(45.0, bad), "zeta2"),
+        (lambda: sweep_chi(45.0, 60.0, delta_phi=bad), "delta_phi"),
+        (lambda: sweep_chi(45.0, 60.0, chi_grid=[0.0, bad]), "chi_grid"),
+        (lambda: sweep_filter(bad), "chi"),
+        (lambda: sweep_filter(30.0, delta_phi=bad), "delta_phi"),
+        (lambda: sweep_filter(30.0, fixed_zeta=bad), "fixed_zeta"),
+        (lambda: sweep_filter(30.0, zeta_grid=[bad]), "zeta_grid"),
+    ):
+        with pytest.raises(ValueError, match=name):
+            call()
+
+
 # ---------------------------------------------------------------- output formats
 
 
@@ -392,6 +408,45 @@ def test_csv_deterministic():
     b = sweep_chi(45.0, 60.0, 180.0, M)
     assert a.to_csv() == b.to_csv()
     assert a.to_json() == b.to_json()
+
+
+def _reference_csv(result: SweepResult) -> str:
+    """The row-by-row f-string layout the column writer must reproduce."""
+    lines = ["param,R1,R2,Rc,g2"]
+    for p, a, b, c, g in zip(result.param, result.r1, result.r2, result.rc, result.g2):
+        lines.append(f"{p:.6f},{a:.8e},{b:.8e},{c:.8e},{g:.8e}")
+    return "\n".join(lines) + "\n"
+
+
+def _table(param, r1, r2, rc, g, duration=None) -> SweepResult:
+    columns = (np.asarray(v, dtype=float) for v in (param, r1, r2, rc, g))
+    return SweepResult("zeta2", *columns, 5.5e-9, duration)
+
+
+EDGE = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
+        2.2250738585072014e-308, 0.1, 1 / 3, 123456789.0, 1e16, 1e22, 1e-7]
+
+
+@pytest.mark.parametrize(
+    "result",
+    [
+        _table([], [], [], [], []),
+        _table([30.0], [500.0], [250.0], [0.0], [1.0]),
+        _table([0.0], [0.001], [0.0], [0.0], [math.nan], duration=1.0),
+        _table(np.arange(len(EDGE)), EDGE, EDGE[::-1], np.roll(EDGE, 3), np.roll(EDGE, 7)),
+        _table(np.linspace(-90.0, 90.0, 7), [0, 1, 2, 3, 40, 500, 6000], [7.0] * 7,
+               [1e6, 0, 3, 0, 9, 11, 2], [1.0, math.nan, 2.5, 1e300, math.inf, 0.0, -0.0],
+               duration=2),
+        sweep_chi(45.0, 60.0, 180.0, M, chi_grid=np.linspace(0.0, 90.0, 37)),
+        sweep_filter(30.0, 180.0, "P2", 45.0, M, seed=3, duration_per_point=0.5,
+                     pump_drift=0.2),
+    ],
+    ids=["zero-rows", "one-row", "nan-g2", "edge-values", "integer-counts", "ideal-chi",
+         "seeded-filter"],
+)
+def test_column_writers_match_reference_layout(result):
+    assert result.to_csv() == _reference_csv(result)
+    assert result.to_json() == json.dumps(result.to_json_obj(), indent=2, sort_keys=True) + "\n"
 
 
 def test_json_round_trip_schema():
@@ -470,6 +525,16 @@ def test_simulate_counts_pump_drift_ramp():
     assert abs(last / first - 0.525 / 0.9755) < 0.05  # ramp endpoints averaged
 
 
+def test_seeded_column_sums_within_six_sigma_with_drift():
+    base = sweep_chi(45.0, 60.0, 180.0, M, chi_grid=np.linspace(0.0, 90.0, 2001))
+    duration, drift = 3.0, 0.4
+    ramp = 1.0 - drift * np.arange(len(base)) / (len(base) - 1)
+    sampled = simulate_counts(base, duration, seed=2024, pump_drift=drift)
+    for counts, rate in ((sampled.r1, base.r1), (sampled.r2, base.r2), (sampled.rc, base.rc)):
+        mean = float(np.sum(ramp * duration * rate))
+        assert abs(counts.sum() - mean) < 6.0 * math.sqrt(mean)
+
+
 def test_simulate_counts_nan_g2_serialized_as_null():
     base = SweepResult(
         "chi",
@@ -497,6 +562,27 @@ def test_simulate_counts_rejects_bad_duration():
     base = sweep_chi(45.0, 60.0, 180.0, M, chi_grid=[0.0, 30.0])
     with pytest.raises(ValueError):
         simulate_counts(base, 0.0, seed=1)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="duration_per_point"):
+            simulate_counts(base, bad, seed=1)
+
+
+def test_simulate_counts_rejects_bad_drift():
+    base = sweep_chi(45.0, 60.0, 180.0, M, chi_grid=[0.0, 30.0])
+    for bad in (1.5, -0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="pump_drift"):
+            simulate_counts(base, 1.0, seed=1, pump_drift=bad)
+    for edge in (0.0, 1.0):
+        assert simulate_counts(base, 1.0, seed=1, pump_drift=edge).duration == 1.0
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+@pytest.mark.parametrize("bad", [dict(duration_per_point=math.inf), dict(pump_drift=1.5)])
+def test_sweeps_reject_bad_sampling_with_or_without_seed(seed, bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        sweep_chi(45.0, 60.0, 180.0, M, chi_grid=[0.0, 30.0], seed=seed, **bad)
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        sweep_filter(30.0, 180.0, "P1", 60.0, M, zeta_grid=[0.0, 30.0], seed=seed, **bad)
 
 
 # ---------------------------------------------------------------- rate model
@@ -507,3 +593,12 @@ def test_rate_model_validation():
         RateModel(pair_rate=-1.0)
     with pytest.raises(ValueError):
         RateModel(coincidence_window=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "name", ["pair_rate", "eta1", "eta2", "coincidence_window", "background1", "background2"]
+)
+def test_rate_model_rejects_non_finite_fields(name, bad):
+    with pytest.raises(ValueError, match=name):
+        RateModel(**{name: bad})
