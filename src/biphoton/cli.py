@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -49,6 +50,10 @@ EXIT_DEGENERATE = 3
 EXIT_IO = 4
 
 OUTDIR_ENV = "BIPHOTON_OUTDIR"
+
+# Largest --grid accepted: a bound on outside input, checked before the
+# grid is built.
+_MAX_GRID_POINTS = 10**6
 
 
 @dataclass
@@ -143,9 +148,18 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, step = (float(p) for p in text.split(":"))
     except ValueError as exc:
         raise CliError(f"grid must be 'start:stop:step', got {text!r}") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise CliError(f"grid values must be finite, got {text!r}")
     if step <= 0 or stop <= start:
         raise CliError("grid needs stop > start and step > 0")
-    n = int(round((stop - start) / step))
+    intervals = (stop - start) / step
+    # round(intervals) + 1 points; checked before round(), which fails on inf
+    if not intervals < _MAX_GRID_POINTS - 0.5:
+        raise CliError(
+            f"grid {text!r} has about {intervals + 1:.3g} points; "
+            f"at most {_MAX_GRID_POINTS} are allowed"
+        )
+    n = int(round(intervals))
     return [start + step * i for i in range(n + 1) if start + step * i <= stop + 1e-9]
 
 
@@ -153,10 +167,6 @@ def _resolve_output_path(name: str) -> str:
     if os.path.isabs(name) or os.path.dirname(name):
         return name
     return os.path.join(os.environ.get(OUTDIR_ENV, "."), name)
-
-
-def _rate_model(overrides: dict) -> RateModel:
-    return RateModel(**overrides)
 
 
 def _format_point(p: PoincarePoint) -> str:
@@ -265,7 +275,7 @@ def run_partner(cfg: RunConfig) -> int:
 
 def run_sweep(cfg: RunConfig) -> int:
     params = cfg.params
-    m = _rate_model(cfg.rate_model)
+    m = RateModel(**cfg.rate_model)
     grid = params.get("grid")
     common = dict(
         m=m,

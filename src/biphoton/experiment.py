@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import JonesVector
-from .qutrit import BiphotonQutrit
+from .polarization import JonesVector, _abs2, _stokes
+from .qutrit import BiphotonQutrit, _pair_modes, _pair_stokes
 
 __all__ = [
     "SourceSetting",
@@ -57,7 +57,6 @@ __all__ = [
 ]
 
 DEFAULT_GRID_STEP = 0.5
-_SQRT2 = math.sqrt(2.0)
 
 _CSV_HEADER = "param,R1,R2,Rc,g2\n"
 _CSV_ROW = "%.6f,%.8e,%.8e,%.8e,%.8e\n"
@@ -75,12 +74,21 @@ class ZeroSinglesError(ValueError):
     """g2 is undefined when a singles rate vanishes."""
 
 
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SourceSetting:
     """Pump half-wave-plate angle chi and quartz-plate phase, in degrees."""
 
     chi: float
     delta_phi: float = 180.0
+
+    def __post_init__(self) -> None:
+        _require_finite(chi=self.chi, delta_phi=self.delta_phi)
 
 
 @dataclass(frozen=True)
@@ -89,6 +97,9 @@ class FilterSetting:
 
     qwp_axis: float
     polarizer_angle: float
+
+    def __post_init__(self) -> None:
+        _require_finite(qwp_axis=self.qwp_axis, polarizer_angle=self.polarizer_angle)
 
 
 @dataclass(frozen=True)
@@ -155,15 +166,8 @@ def filter_jones(f: FilterSetting) -> JonesVector:
 
 def _amplitude(c1, c2, c3, h1, v1, h2, v2):
     """vdot(F(f1, f2), C): the amplitude that modes f1 and f2 take the pair C."""
-    return (
-        (_SQRT2 * (h1 * h2)).conjugate() * c1
-        + (h1 * v2 + v1 * h2).conjugate() * c2
-        + (_SQRT2 * (v1 * v2)).conjugate() * c3
-    )
-
-
-def _abs2(z):
-    return z.real * z.real + z.imag * z.imag
+    f1, f2, f3 = _pair_modes(h1, v1, h2, v2)
+    return f1.conjugate() * c1 + f2.conjugate() * c2 + f3.conjugate() * c3
 
 
 def _photons_in_mode(s1, s2, s3, h, v):
@@ -172,8 +176,8 @@ def _photons_in_mode(s1, s2, s3, h, v):
     u is the mode's Stokes vector and s = (s1, s2, s3) the pair's
     per-photon Stokes expectation.
     """
-    cross = h.conjugate() * v
-    return 1.0 + ((_abs2(h) - _abs2(v)) * s1 + 2.0 * cross.real * s2 + 2.0 * cross.imag * s3)
+    u1, u2, u3 = _stokes(h, v)
+    return 1.0 + (u1 * s1 + u2 * s2 + u3 * s3)
 
 
 def _rates(c1, c2, c3, h1, v1, h2, v2, m: RateModel):
@@ -183,8 +187,7 @@ def _rates(c1, c2, c3, h1, v1, h2, v2, m: RateModel):
     imag are used, so this runs elementwise on numpy columns and on Python
     complex scalars alike.
     """
-    x = c1.conjugate() * c2 + c2.conjugate() * c3
-    s = (_abs2(c1) - _abs2(c3), _SQRT2 * x.real, _SQRT2 * x.imag)
+    s = _pair_stokes(c1, c2, c3)
     amp = _amplitude(c1, c2, c3, h1, v1, h2, v2)
     r1 = m.pair_rate * m.eta1 * 0.5 * _photons_in_mode(*s, h1, v1) + m.background1
     r2 = m.pair_rate * m.eta2 * 0.5 * _photons_in_mode(*s, h2, v2) + m.background2
@@ -192,9 +195,9 @@ def _rates(c1, c2, c3, h1, v1, h2, v2, m: RateModel):
     return r1, r2, rc
 
 
-def _g2(r1, r2, rc, m: RateModel):
-    """Total coincidences over accidentals; the caller rules out zero singles."""
-    accidental = r1 * r2 * m.coincidence_window
+def _g2(r1, r2, rc, window: float):
+    """Total coincidences over accidentals R1 R2 T_c; the caller rules out zero singles."""
+    accidental = r1 * r2 * window
     return (rc + accidental) / accidental
 
 
@@ -258,7 +261,7 @@ def g2(
     r1, r2, rc = _state_rates(state, f1, f2, m)
     if r1 <= 0.0 or r2 <= 0.0:
         raise ZeroSinglesError("g2 undefined: a singles rate is zero")
-    return _g2(r1, r2, rc, m)
+    return _g2(r1, r2, rc, m.coincidence_window)
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,15 +354,9 @@ class SweepResult:
             raise
 
 
-def _require_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-
-
-def _validate_grid(name: str, grid, default: np.ndarray) -> np.ndarray:
-    if grid is None:
-        return default
+def _validate_grid(name: str, grid) -> np.ndarray:
+    if grid is None:  # a fresh default grid per call: the result owns its param
+        return np.linspace(0.0, 90.0, round(90.0 / DEFAULT_GRID_STEP) + 1)
     values = np.asarray(grid, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("grid must be a non-empty 1-d sequence of angles")
@@ -388,7 +385,8 @@ def _sweep_result(
         raise ZeroSinglesError(
             f"g2 undefined at {name} = {grid[zero[0]]:.4f} deg: a singles rate is zero"
         )
-    result = SweepResult(name, grid, r1, r2, rc, _g2(r1, r2, rc, m), m.coincidence_window)
+    g = _g2(r1, r2, rc, m.coincidence_window)
+    result = SweepResult(name, grid, r1, r2, rc, g, m.coincidence_window)
     if seed is not None:
         result = simulate_counts(result, duration, seed, drift)
     return result
@@ -410,7 +408,7 @@ def sweep_chi(
     rates (see simulate_counts).
     """
     _require_finite(zeta1=zeta1, zeta2=zeta2, delta_phi=delta_phi)
-    grid = _validate_grid("chi_grid", chi_grid, np.linspace(0.0, 90.0, 181))
+    grid = _validate_grid("chi_grid", chi_grid)
     two_chi = np.radians(2.0 * grid)
     amplitudes = _source_amplitudes(np.sin(two_chi), np.cos(two_chi), delta_phi)
     f1 = _filter_mode(FilterSetting(zeta1, zeta1))
@@ -433,9 +431,9 @@ def sweep_filter(
     """Scan one polarizer with the source and the other polarizer fixed."""
     if which_filter not in ("P1", "P2"):
         raise ValueError("which_filter must be 'P1' or 'P2'")
-    _require_finite(chi=chi, delta_phi=delta_phi, fixed_zeta=fixed_zeta)
-    grid = _validate_grid("zeta_grid", zeta_grid, np.linspace(0.0, 90.0, 181))
     state = source_state(SourceSetting(chi, delta_phi))
+    _require_finite(fixed_zeta=fixed_zeta)
+    grid = _validate_grid("zeta_grid", zeta_grid)
     zeta = np.radians(grid)
     cos_z, sin_z = np.cos(zeta), np.sin(zeta)
     scanned = _selected_mode(cos_z, sin_z, cos_z, sin_z)
@@ -470,12 +468,10 @@ def simulate_counts(
     rates = np.column_stack((result.r1, result.r2, result.rc))
     means = (ramp * duration_per_point)[:, None] * rates
     counts = np.random.default_rng(seed).poisson(means).astype(float)
-    est1 = counts[:, 0] / duration_per_point
-    est2 = counts[:, 1] / duration_per_point
-    estc = counts[:, 2] / duration_per_point
+    est1, est2, estc = (counts / duration_per_point).T
     with np.errstate(divide="ignore", invalid="ignore"):
-        accidental = est1 * est2 * result.coincidence_window
-        gg = np.where(accidental > 0, (estc + accidental) / accidental, np.nan)
+        gg = _g2(est1, est2, estc, result.coincidence_window)
+    gg[(est1 == 0) | (est2 == 0)] = np.nan
     return SweepResult(
         result.param_name,
         result.param.copy(),

@@ -52,6 +52,40 @@ _PHASE_REF_TOL = 1e-12
 _POLE_TOL = 1e-12
 
 
+def _abs2(z):
+    """|z|^2 as re^2 + im^2; elementwise on numpy arrays and Python scalars."""
+    return z.real * z.real + z.imag * z.imag
+
+
+def _canonical(amplitudes, what: str) -> list[complex]:
+    """Normalized amplitudes in canonical global phase.
+
+    The first component of magnitude above _PHASE_REF_TOL is made real and
+    >= 0.  JonesVector and BiphotonQutrit are both built through here; `what`
+    names the type in the error raised for a zero or non-finite input.
+    """
+    norm = math.hypot(*map(abs, amplitudes))
+    if not norm < math.inf:
+        raise ValueError(f"{what} amplitudes must be finite, got {amplitudes}")
+    if norm < 1e-150:
+        raise ValueError(f"cannot normalize a zero {what}")
+    for i, ref in enumerate(amplitudes):  # some component of a unit vector passes
+        ref = complex(ref) / norm
+        r = abs(ref)
+        if r > _PHASE_REF_TOL:
+            break
+    phase = (ref / r).conjugate()
+    unit = [complex(z) / norm * phase for z in amplitudes]
+    unit[i] = complex(r)
+    return unit
+
+
+def _stokes(h, v):
+    """Stokes vector (s1, s2, s3) of the mode (h, v), elementwise."""
+    cross = h.conjugate() * v
+    return _abs2(h) - _abs2(v), 2.0 * cross.real, 2.0 * cross.imag
+
+
 def _wrap_angle(angle: float) -> float:
     """Wrap an angle in degrees into (-180, 180]."""
     wrapped = math.remainder(angle, 360.0)
@@ -74,19 +108,9 @@ class JonesVector:
     v: complex
 
     def __post_init__(self) -> None:
-        norm = math.hypot(abs(self.h), abs(self.v))
-        if norm < 1e-150:
-            raise ValueError("cannot normalize a zero Jones vector")
-        h = complex(self.h) / norm
-        v = complex(self.v) / norm
-        if abs(h) > _PHASE_REF_TOL:
-            phase = h / abs(h)
-            h, v = abs(h), v * phase.conjugate()
-        else:
-            phase = v / abs(v)
-            h, v = h * phase.conjugate(), abs(v)
-        object.__setattr__(self, "h", complex(h))
-        object.__setattr__(self, "v", complex(v))
+        h, v = _canonical((self.h, self.v), "Jones vector")
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "v", v)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.h, self.v])
@@ -212,8 +236,7 @@ def overlap(bra: JonesVector, ket: JonesVector) -> complex:
 
 
 def stokes_from_jones(j: JonesVector) -> StokesVector:
-    cross = j.h.conjugate() * j.v
-    return StokesVector(abs(j.h) ** 2 - abs(j.v) ** 2, 2.0 * cross.real, 2.0 * cross.imag)
+    return StokesVector(*_stokes(j.h, j.v))
 
 
 def waveplate(retardance: float, axis_angle: float) -> np.ndarray:

@@ -6,13 +6,16 @@ Any such state factorizes into two single-photon polarizations, so it can be
 drawn as an unordered pair of points on the Poincare sphere; this module
 provides the algebra in both pictures and the maps between them.
 
-The bosonic sqrt(2) factors for doubly occupied modes live only in
-`qutrit_from_pair`; every public amplitude refers to normalized states.
+The bosonic sqrt(2) factors for doubly occupied modes live only in the
+pair-mode vector F(a, b) (`_pair_modes`), which builds a qutrit from its
+halves and, in `experiment`, the detection amplitude vdot(F(f1, f2), C);
+every public amplitude refers to normalized states.
 
 The polarization degree is tied to the halves' angular separation sigma by
 P = 2 cos(sigma/2) / (1 + cos^2(sigma/2)).  That closed form is derived
 here (not taken from a reference) and the test suite checks it against the
-Stokes operator computation.
+Stokes expectation, whose closed form it checks in turn against Stokes
+operators rebuilt from the ladder algebra.
 """
 from __future__ import annotations
 
@@ -23,10 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polarization import (
-    _PHASE_REF_TOL,
     JonesVector,
     PoincarePoint,
     StokesVector,
+    _abs2,
+    _canonical,
     _wrap_angle,
     jones_from_poincare,
     overlap,
@@ -65,20 +69,10 @@ class BiphotonQutrit:
     c3: complex
 
     def __post_init__(self) -> None:
-        c = np.array([self.c1, self.c2, self.c3], dtype=complex)
-        norm = float(np.linalg.norm(c))
-        if norm < 1e-150:
-            raise ValueError("cannot normalize a zero qutrit")
-        c /= norm
-        for i in range(3):
-            if abs(c[i]) > _PHASE_REF_TOL:
-                phase = c[i] / abs(c[i])
-                c *= phase.conjugate()
-                c[i] = abs(c[i])
-                break
-        object.__setattr__(self, "c1", complex(c[0]))
-        object.__setattr__(self, "c2", complex(c[1]))
-        object.__setattr__(self, "c3", complex(c[2]))
+        c1, c2, c3 = _canonical((self.c1, self.c2, self.c3), "qutrit")
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "c3", c3)
 
     def amplitudes(self) -> np.ndarray:
         return np.array([self.c1, self.c2, self.c3])
@@ -137,14 +131,18 @@ class PairDecomposition:
         return jones_from_poincare(self.p), jones_from_poincare(self.q)
 
 
+def _pair_modes(ah, av, bh, bv):
+    """F(a, b) = a^dagger b^dagger |vac> over {|2,0>, |1,1>, |0,2>}, unnormalized.
+
+    Elementwise in the mode amplitudes.  The grouping keeps F bitwise
+    symmetric under a <-> b.
+    """
+    return _SQRT2 * (ah * bh), ah * bv + av * bh, _SQRT2 * (av * bv)
+
+
 def qutrit_from_jones_pair(a: JonesVector, b: JonesVector) -> BiphotonQutrit:
     """Two-photon state created in modes a and b, as a normalized qutrit."""
-    # grouping keeps the construction bitwise symmetric under a <-> b
-    return BiphotonQutrit(
-        _SQRT2 * (a.h * b.h),
-        a.h * b.v + a.v * b.h,
-        _SQRT2 * (a.v * b.v),
-    )
+    return BiphotonQutrit(*_pair_modes(a.h, a.v, b.h, b.v))
 
 
 def qutrit_from_pair(p: PoincarePoint, q: PoincarePoint) -> BiphotonQutrit:
@@ -205,11 +203,21 @@ def qutrit_inner_product(x: BiphotonQutrit, y: BiphotonQutrit) -> complex:
 
 # Stokes operators in the qutrit basis (derived once from the ladder algebra
 # of the H/V modes; the test suite re-derives them from first principles).
+# _pair_stokes is their expectation in closed form.
 STOKES_OPERATORS: tuple[np.ndarray, np.ndarray, np.ndarray] = (
     np.diag([2.0, 0.0, -2.0]).astype(complex),
     _SQRT2 * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex),
     _SQRT2 * np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex),
 )
+
+
+def _pair_stokes(c1, c2, c3):
+    """<C|S_k|C> / 2 for k = 1, 2, 3: the pair's per-photon Stokes vector.
+
+    Elementwise in the qutrit amplitudes.
+    """
+    x = c1.conjugate() * c2 + c2.conjugate() * c3
+    return _abs2(c1) - _abs2(c3), _SQRT2 * x.real, _SQRT2 * x.imag
 
 
 def stokes_expectation(s: BiphotonQutrit) -> StokesVector:
@@ -218,9 +226,7 @@ def stokes_expectation(s: BiphotonQutrit) -> StokesVector:
     The result is parallel to the sum of the halves' Stokes vectors and its
     length is the polarization degree; it is not unit length in general.
     """
-    c = s.amplitudes()
-    values = [float(np.vdot(c, op @ c).real) / 2.0 for op in STOKES_OPERATORS]
-    return StokesVector(*values)
+    return StokesVector(*_pair_stokes(s.c1, s.c2, s.c3))
 
 
 def polarization_degree(s: BiphotonQutrit) -> float:

@@ -4,11 +4,13 @@ import os
 
 import pytest
 
+from biphoton import cli
 from biphoton.cli import (
     EXIT_DEGENERATE,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    CliError,
     RunConfig,
     main,
 )
@@ -52,6 +54,14 @@ def test_state_rejects_zero_amplitudes(capsys):
 
 def test_state_rejects_malformed_amplitudes(capsys):
     assert main(["state", "--c", "1,zebra,0"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "bad, name", [(["--chi", "inf"], "chi"), (["--chi", "30", "--dphi", "nan"], "delta_phi")]
+)
+def test_state_rejects_non_finite_source_settings(capsys, bad, name):
+    assert main(["state", *bad]) == EXIT_USAGE
+    assert f"{name} must be finite" in capsys.readouterr().err
 
 
 def test_state_requires_exactly_one_input_style(capsys):
@@ -176,6 +186,18 @@ def test_sweep_polarizer_requires_chi(capsys):
 
 def test_sweep_bad_grid(capsys):
     assert main(["sweep", "chi", "--grid", "nonsense"]) == EXIT_USAGE
+    assert main(["sweep", "chi", "--grid", "0:inf:1"]) == EXIT_USAGE
+    assert main(["sweep", "chi", "--grid", "0:90:nan"]) == EXIT_USAGE
+
+
+def test_sweep_grid_over_the_point_cap_is_rejected_unbuilt(tmp_path, capsys):
+    # one point over the cap: round(intervals) + 1 = cap + 1
+    with pytest.raises(CliError, match="at most"):
+        cli._parse_grid(f"0:1:{1.0 / cli._MAX_GRID_POINTS}")
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "chi", "--grid", "0:90:1e-9", "--out", str(out)]) == EXIT_USAGE
+    assert "at most" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_unwritable_path(capsys):

@@ -73,6 +73,18 @@ def test_source_c2_always_zero():
 # ---------------------------------------------------------------- filters
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_settings_reject_non_finite_angles(bad):
+    for call, name in (
+        (lambda: SourceSetting(bad), "chi"),
+        (lambda: SourceSetting(30.0, bad), "delta_phi"),
+        (lambda: FilterSetting(bad, 0.0), "qwp_axis"),
+        (lambda: FilterSetting(0.0, bad), "polarizer_angle"),
+    ):
+        with pytest.raises(ValueError, match=name):
+            call()
+
+
 def test_filter_plate_aligned_with_polarizer_selects_linear():
     rng = np.random.default_rng(42)
     for _ in range(20):
@@ -153,7 +165,7 @@ def test_rate_kernel_matches_scalar_api_and_oracles():
     mode1 = _selected_mode(np.cos(a1), np.sin(a1), np.cos(z1), np.sin(z1))
     mode2 = _selected_mode(np.cos(a2), np.sin(a2), np.cos(z2), np.sin(z2))
     r1, r2, rc = _rates(*c, *mode1, *mode2, m)
-    gg = _g2(r1, r2, rc, m)
+    gg = _g2(r1, r2, rc, m.coincidence_window)
 
     # first-principles references: Fock vectors and ladder-built Stokes operators
     ops = ladder_stokes_operators()

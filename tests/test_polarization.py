@@ -41,6 +41,15 @@ def test_jones_vector_zero_rejected():
         JonesVector(0.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "h, v",
+    [(math.nan, 1.0), (math.inf, 1.0), (1.0, complex(0.0, -math.inf)), (complex(math.nan, 0.0), 0.0)],
+)
+def test_jones_vector_non_finite_rejected(h, v):
+    with pytest.raises(ValueError, match="finite"):
+        JonesVector(h, v)
+
+
 def test_jones_vector_canonical_phase_when_h_zero():
     j = JonesVector(0.0, -1.0j)
     assert j.v.real > 0.0 and abs(j.v.imag) < 1e-12

@@ -5,6 +5,7 @@ against the Fock-space oracles in oracles.py.
 """
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,16 @@ def test_qutrit_normalization_and_phase():
 def test_qutrit_zero_rejected():
     with pytest.raises(ValueError):
         BiphotonQutrit(0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "amplitudes", [(math.inf, 0.0, 1.0), (0.0, math.nan, 1.0), (1.0, 0.0, complex(0.0, -math.inf))]
+)
+def test_qutrit_non_finite_rejected(amplitudes):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            BiphotonQutrit(*amplitudes)
 
 
 def test_qutrit_accessors():
@@ -198,6 +209,16 @@ def test_inner_product_matches_pair_amplitude_with_norms():
 def test_stokes_operators_match_ladder_derivation():
     for hard, derived in zip(STOKES_OPERATORS, ladder_stokes_operators()):
         assert np.allclose(hard, derived, atol=1e-14)
+
+
+def test_stokes_expectation_matches_ladder_operators():
+    ops = ladder_stokes_operators()
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        s = random_qutrit(rng)
+        c = s.amplitudes()
+        expected = [np.vdot(c, op @ c).real / 2.0 for op in ops]
+        assert np.allclose(stokes_expectation(s).as_array(), expected, rtol=0.0, atol=1e-12)
 
 
 def test_stokes_expectation_examples():
