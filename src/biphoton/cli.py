@@ -15,11 +15,10 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .experiment import (
     RateModel,
     SourceSetting,
+    _write_atomic,
     source_state,
     sweep_chi,
     sweep_filter,
@@ -89,9 +88,7 @@ class RunConfig:
         )
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_obj(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_atomic(path, json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: str) -> "RunConfig":
@@ -274,6 +271,8 @@ def run_partner(cfg: RunConfig) -> int:
 
 
 def run_sweep(cfg: RunConfig) -> int:
+    import numpy as np
+
     params = cfg.params
     m = RateModel(**cfg.rate_model)
     grid = params.get("grid")
@@ -313,8 +312,7 @@ def run_sweep(cfg: RunConfig) -> int:
 
 def _emit(text: str, output_path: str | None) -> None:
     if output_path:
-        with open(_resolve_output_path(output_path), "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_atomic(_resolve_output_path(output_path), text)
     else:
         sys.stdout.write(text)
 

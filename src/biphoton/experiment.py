@@ -31,11 +31,13 @@ import json
 import math
 import os
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .polarization import JonesVector, _abs2, _stokes
 from .qutrit import BiphotonQutrit, _pair_modes, _pair_stokes
+
+if TYPE_CHECKING:  # numpy is imported only by the functions that build arrays
+    import numpy as np
 
 __all__ = [
     "SourceSetting",
@@ -78,6 +80,25 @@ def _require_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _write_atomic(path, text: str) -> None:
+    """Write text to path atomically.
+
+    The text goes to a temporary file in the same directory, which then
+    replaces path, so path never holds a partial file.  The temporary name
+    is random per call, so concurrent writes of one path never share (or
+    delete) each other's file.
+    """
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 @dataclass(frozen=True)
@@ -227,6 +248,8 @@ def rate_closed_form(chi, zeta1, zeta2):
 
     Dimensionless; broadcasts over numpy arrays.
     """
+    import numpy as np
+
     two_chi = np.radians(2.0 * np.asarray(chi, dtype=float))
     z1 = np.radians(np.asarray(zeta1, dtype=float))
     z2 = np.radians(np.asarray(zeta2, dtype=float))
@@ -288,10 +311,14 @@ class SweepResult:
 
     def argmin_g2(self) -> tuple[float, float]:
         """(parameter value, g2 value) at the smallest g2 in the table."""
+        import numpy as np
+
         i = int(np.nanargmin(self.g2))
         return float(self.param[i]), float(self.g2[i])
 
     def to_csv(self) -> str:
+        import numpy as np
+
         table = np.column_stack((self.param, self.r1, self.r2, self.rc, self.g2))
         return _CSV_HEADER + (_CSV_ROW * len(table)) % tuple(table.ravel().tolist())
 
@@ -321,6 +348,8 @@ class SweepResult:
         Built from whole columns: every number is its float repr, as json
         writes it, filled into one row template.
         """
+        import numpy as np
+
         head = (
             '{\n  "coincidence_window": %s,\n  "duration": %s,\n  "param_name": %s,\n  "rows": '
             % tuple(map(json.dumps, (self.coincidence_window, self.duration, self.param_name)))
@@ -335,26 +364,13 @@ class SweepResult:
         return head + "[\n" + rows + "\n  ]\n}\n"
 
     def write(self, path, fmt: str = "csv") -> None:
-        """Write the CSV or JSON text to path atomically.
-
-        The text goes to a temporary file in the same directory, which then
-        replaces path, so path never holds a partial table.  The temporary
-        name is random per call, so concurrent writes of one path never share
-        (or delete) each other's file.
-        """
-        text = self.to_csv() if fmt == "csv" else self.to_json()
-        tmp = f"{path}.{os.urandom(6).hex()}.tmp"
-        fh = open(tmp, "x", encoding="utf-8")
-        try:
-            with fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            os.remove(tmp)
-            raise
+        """Write the CSV or JSON text to path atomically (see _write_atomic)."""
+        _write_atomic(path, self.to_csv() if fmt == "csv" else self.to_json())
 
 
 def _validate_grid(name: str, grid) -> np.ndarray:
+    import numpy as np
+
     if grid is None:  # a fresh default grid per call: the result owns its param
         return np.linspace(0.0, 90.0, round(90.0 / DEFAULT_GRID_STEP) + 1)
     values = np.asarray(grid, dtype=float)
@@ -377,6 +393,8 @@ def _check_sampling(duration: float, drift: float) -> None:
 def _sweep_result(
     name: str, grid: np.ndarray, rates, m: RateModel, seed, duration: float, drift: float
 ) -> SweepResult:
+    import numpy as np
+
     # checked with or without a seed, so an unused bad value is not ignored
     _check_sampling(duration, drift)
     r1, r2, rc = (np.broadcast_to(column, grid.shape).copy() for column in rates)
@@ -407,6 +425,8 @@ def sweep_chi(
     With a seed, Poisson counts over duration_per_point replace the ideal
     rates (see simulate_counts).
     """
+    import numpy as np
+
     _require_finite(zeta1=zeta1, zeta2=zeta2, delta_phi=delta_phi)
     grid = _validate_grid("chi_grid", chi_grid)
     two_chi = np.radians(2.0 * grid)
@@ -429,6 +449,8 @@ def sweep_filter(
     pump_drift: float = 0.0,
 ) -> SweepResult:
     """Scan one polarizer with the source and the other polarizer fixed."""
+    import numpy as np
+
     if which_filter not in ("P1", "P2"):
         raise ValueError("which_filter must be 'P1' or 'P2'")
     state = source_state(SourceSetting(chi, delta_phi))
@@ -459,6 +481,8 @@ def simulate_counts(
     every run.  pump_drift is the total fractional power decrease across
     the sweep, applied as a linear ramp; it must lie in [0, 1].
     """
+    import numpy as np
+
     _check_sampling(duration_per_point, pump_drift)
     n = len(result)
     if n > 1 and pump_drift:

@@ -24,8 +24,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # numpy is imported only by the functions that build arrays
+    import numpy as np
 
 __all__ = [
     "JonesVector",
@@ -113,6 +115,8 @@ class JonesVector:
         object.__setattr__(self, "v", v)
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.h, self.v])
 
     def isclose(self, other: "JonesVector", tol: float = 1e-10) -> bool:
@@ -176,6 +180,8 @@ class StokesVector:
     s3: float
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.s1, self.s2, self.s3])
 
     @property
@@ -245,6 +251,8 @@ def waveplate(retardance: float, axis_angle: float) -> np.ndarray:
     retardance 180 is a half-wave plate, 90 a quarter-wave plate; the fast
     axis is horizontal at axis_angle = 0.
     """
+    import numpy as np
+
     a = math.radians(axis_angle)
     c, s = math.cos(a), math.sin(a)
     rot = np.array([[c, -s], [s, c]], dtype=complex)
@@ -267,10 +275,18 @@ def poincare_to_globe(p: PoincarePoint) -> GlobePoint:
 
 
 def sphere_angle(p: PoincarePoint, q: PoincarePoint) -> float:
-    """Great-circle angle in degrees between two sphere points."""
-    sp = stokes_from_jones(jones_from_poincare(p)).as_array()
-    sq = stokes_from_jones(jones_from_poincare(q)).as_array()
-    return math.degrees(math.acos(min(1.0, max(-1.0, float(np.dot(sp, sq))))))
+    """Great-circle angle in degrees between two sphere points.
+
+    atan2(|s_p x s_q|, s_p . s_q) keeps full precision near 0 and 180
+    degrees, where acos of the dot product loses about half the digits.
+    """
+    a = stokes_from_jones(jones_from_poincare(p))
+    b = stokes_from_jones(jones_from_poincare(q))
+    cross = math.hypot(
+        a.s2 * b.s3 - a.s3 * b.s2, a.s3 * b.s1 - a.s1 * b.s3, a.s1 * b.s2 - a.s2 * b.s1
+    )
+    dot = a.s1 * b.s1 + a.s2 * b.s2 + a.s3 * b.s3
+    return math.degrees(math.atan2(cross, dot))
 
 
 NAMED_STATES: dict[str, JonesVector] = {

@@ -22,8 +22,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # numpy is imported only by the functions that build arrays
+    import numpy as np
 
 from .polarization import (
     JonesVector,
@@ -75,6 +77,8 @@ class BiphotonQutrit:
         object.__setattr__(self, "c3", c3)
 
     def amplitudes(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.c1, self.c2, self.c3])
 
     @property
@@ -96,7 +100,11 @@ class BiphotonQutrit:
         return _arg_diff_degrees(self.c3, self.c2)
 
     def isclose(self, other: "BiphotonQutrit", tol: float = 1e-9) -> bool:
-        return bool(np.all(np.abs(self.amplitudes() - other.amplitudes()) <= tol))
+        return (
+            abs(self.c1 - other.c1) <= tol
+            and abs(self.c2 - other.c2) <= tol
+            and abs(self.c3 - other.c3) <= tol
+        )
 
     def to_json(self) -> dict:
         return {
@@ -198,17 +206,28 @@ def pair_amplitude(
 
 
 def qutrit_inner_product(x: BiphotonQutrit, y: BiphotonQutrit) -> complex:
-    return complex(np.vdot(x.amplitudes(), y.amplitudes()))
+    """<x|y> = conj(x1) y1 + conj(x2) y2 + conj(x3) y3."""
+    return x.c1.conjugate() * y.c1 + x.c2.conjugate() * y.c2 + x.c3.conjugate() * y.c3
 
 
-# Stokes operators in the qutrit basis (derived once from the ladder algebra
-# of the H/V modes; the test suite re-derives them from first principles).
-# _pair_stokes is their expectation in closed form.
-STOKES_OPERATORS: tuple[np.ndarray, np.ndarray, np.ndarray] = (
-    np.diag([2.0, 0.0, -2.0]).astype(complex),
-    _SQRT2 * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex),
-    _SQRT2 * np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex),
-)
+STOKES_OPERATORS: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def __getattr__(name: str):
+    """Build STOKES_OPERATORS on first access, so importing needs no numpy."""
+    if name != "STOKES_OPERATORS":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import numpy as np
+
+    # Stokes operators in the qutrit basis (derived once from the ladder
+    # algebra of the H/V modes; the test suite re-derives them from first
+    # principles).  _pair_stokes is their expectation in closed form.
+    operators = (
+        np.diag([2.0, 0.0, -2.0]).astype(complex),
+        _SQRT2 * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex),
+        _SQRT2 * np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex),
+    )
+    return globals().setdefault("STOKES_OPERATORS", operators)
 
 
 def _pair_stokes(c1, c2, c3):

@@ -257,6 +257,33 @@ def test_sweep_write_is_atomic(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == [out]
 
 
+@pytest.mark.parametrize(
+    "argv, code, head",
+    [
+        (["state", "--chi", "30", "--out"], EXIT_OK, "qutrit: "),
+        (["partner", "H", "V", "D", "--out"], EXIT_OK, "partner (sphere): "),
+        (["partner", "V", "V", "H", "--out"], EXIT_DEGENERATE, "degenerate geometry: "),
+        (["state", "--chi", "30", "--save-config"], EXIT_OK, "{\n"),
+    ],
+    ids=["state-out", "partner-out", "partner-degenerate-out", "save-config"],
+)
+def test_report_and_config_writes_are_atomic(tmp_path, capsys, monkeypatch, argv, code, head):
+    out = tmp_path / "report.txt"
+    out.write_text("previous\n")
+
+    def failing_replace(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    assert main([*argv, str(out)]) == EXIT_IO
+    assert out.read_text() == "previous\n"
+    assert list(tmp_path.iterdir()) == [out]
+    monkeypatch.undo()
+    assert main([*argv, str(out)]) == code
+    assert out.read_text().startswith(head)
+    assert list(tmp_path.iterdir()) == [out]
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])

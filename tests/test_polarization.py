@@ -21,7 +21,7 @@ from biphoton import (
     stokes_from_jones,
     waveplate,
 )
-from oracles import random_jones, random_point
+from oracles import great_circle_deg, random_jones, random_point
 
 RT2 = math.sqrt(2.0)
 
@@ -257,3 +257,14 @@ def test_overlap_matches_stokes_dot():
 def test_sphere_angle_examples():
     assert abs(sphere_angle(PoincarePoint(0, 0), PoincarePoint(180, 0)) - 180.0) < 1e-9
     assert sphere_angle(PoincarePoint(90, 45), PoincarePoint(90, 45)) < 1e-9
+
+
+def test_sphere_angle_full_precision_at_0_and_180_degrees():
+    # acos of the Stokes dot product read up to ~2e-6 deg at coincident points
+    rng = np.random.default_rng(41)
+    for _ in range(2000):
+        p, q = random_point(rng), random_point(rng)
+        antipode = PoincarePoint(180.0 - p.theta, p.phi + 180.0)
+        assert sphere_angle(p, p) <= 1e-12
+        assert abs(sphere_angle(p, antipode) - 180.0) <= 1e-12
+        assert abs(sphere_angle(p, q) - float(great_circle_deg(p, q.theta, q.phi))) < 1e-6

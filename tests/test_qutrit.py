@@ -203,6 +203,24 @@ def test_inner_product_matches_pair_amplitude_with_norms():
         assert abs(abs(got) - abs(expected)) < 1e-12
 
 
+def test_inner_product_and_isclose_match_array_forms():
+    rng = np.random.default_rng(28)
+    outcomes = set()
+    for _ in range(1000):
+        x, y = random_qutrit(rng), random_qutrit(rng)
+        got = qutrit_inner_product(x, y)
+        assert type(got) is complex
+        assert abs(got - np.vdot(x.amplitudes(), y.amplitudes())) <= 1e-15
+        kick = 1e-9 * (rng.normal(size=3) + 1j * rng.normal(size=3))
+        near = BiphotonQutrit(*(x.amplitudes() + kick))
+        for other in (y, near):
+            for tol in (1e-9, 1e-12):
+                old = bool(np.all(np.abs(x.amplitudes() - other.amplitudes()) <= tol))
+                assert x.isclose(other, tol) is old
+                outcomes.add(old)
+    assert outcomes == {True, False}
+
+
 # ---------------------------------------------------------------- stokes
 
 
