@@ -5,10 +5,18 @@ Angles are accepted in degrees only.  Exit codes: 0 success, 2 bad input,
 3 degenerate partner geometry, 4 output I/O failure.  The environment
 variable BIPHOTON_OUTDIR sets the default directory for bare output
 filenames.
+
+A run takes one path: argv (through `config_from_args`) or a `--config`
+file becomes a JSON-shaped dict, `RunConfig.from_json_obj` checks it
+against the run schema, the command's pure step builds every library
+object and formats the output, `--save-config` is written, and only then
+does `_write` print and write the output.  Bad input therefore exits 2
+before any file is touched.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -50,9 +58,150 @@ EXIT_IO = 4
 
 OUTDIR_ENV = "BIPHOTON_OUTDIR"
 
-# Largest --grid accepted: a bound on outside input, checked before the
-# grid is built.
+# Largest grid accepted: a bound on outside input, checked before a
+# --grid is built and before a config's grid list is read.
 _MAX_GRID_POINTS = 10**6
+
+
+class CliError(ValueError):
+    """Bad user input detected after argument parsing."""
+
+
+# ---------------------------------------------------------------- schema
+#
+# The run schema.  Nothing else in this module knows which keys a run has,
+# their types or their defaults.  Each check takes the key's name, as it
+# appears in error messages, and the value; it returns the value or raises
+# a CliError naming the key.
+
+
+def _shown(value) -> str:
+    if isinstance(value, (dict, list)):
+        return "an object" if isinstance(value, dict) else "an array"
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def _check(what: str, ok):
+    """The check that accepts the values for which ok() is true."""
+
+    def check(key: str, value):
+        if not ok(value):
+            raise CliError(f"{key}: expected {what}, got {_shown(value)}")
+        return value
+
+    return check
+
+
+def _is_real(value) -> bool:
+    # `true` is not a number, though bool is an int in Python; an int
+    # beyond the float range would overflow in the library's math
+    return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
+
+
+def _one_of(*choices: str):
+    return _check(f"one of {', '.join(choices)}", lambda v: type(v) is str and v in choices)
+
+
+_real = _check("a real number", _is_real)
+_text = _check("a string", lambda v: type(v) is str)
+_flag = _check("true or false", lambda v: type(v) is bool)
+_path = _check("a string or null", lambda v: v is None or type(v) is str)
+_seed = _check("an integer >= 0 or null", lambda v: v is None or (type(v) is int and v >= 0))
+_object = _check("a JSON object", lambda v: type(v) is dict)
+_amplitudes = _check(
+    "three [re, im] pairs of real numbers",
+    lambda v: type(v) is list and len(v) == 3
+    and all(type(z) is list and len(z) == 2 and all(map(_is_real, z)) for z in v),
+)
+
+
+def _grid(key: str, value):
+    _check("an array of angles", lambda v: type(v) is list)(key, value)
+    if len(value) > _MAX_GRID_POINTS:
+        raise CliError(f"{key}: {len(value)} points; at most {_MAX_GRID_POINTS} are allowed")
+    for i, angle in enumerate(value):
+        _real(f"{key}[{i}]", angle)
+    return value
+
+
+_REQUIRED = object()  # a key without a default
+_UNSET = object()  # left out when not given: the library's default applies
+
+_COMMANDS = ("state", "partner", "sweep")
+# per command; the first is the default
+_FORMATS = {"state": ("text", "json"), "partner": ("text", "json"), "sweep": ("csv", "json")}
+_KINDS = ("chi", "polarizer")
+_WHICH = ("P1", "P2")
+_ZETA1, _ZETA2 = 45.0, 60.0  # default angles of polarizers P1 and P2, deg
+
+_TOP = {
+    "command": (_one_of(*_COMMANDS), _REQUIRED),
+    "params": (_object, _REQUIRED),
+    "output_format": (_text, _UNSET),  # checked per command
+    "output_path": (_path, None),
+    "seed": (_seed, None),
+    "rate_model": (_object, _UNSET),
+}
+_DPHI = (_real, 180.0)
+_SWEEP = {
+    "kind": (_one_of(*_KINDS), _REQUIRED),
+    "dphi": _DPHI,
+    "duration": (_real, 1.0),
+    "drift": (_real, 0.0),
+    "grid": (_grid, _UNSET),
+}
+# params per command, and per form of the command: state takes either
+# amplitudes or a source setting, a sweep scans chi or one polarizer
+_PARAMS = {
+    ("state", "c"): {"c": (_amplitudes, _REQUIRED)},
+    ("state", "chi"): {"chi": (_real, _REQUIRED), "dphi": _DPHI},
+    ("partner", None): {
+        "a": (_text, _REQUIRED),
+        "b": (_text, _REQUIRED),
+        "c": (_text, _REQUIRED),
+        "globe": (_flag, False),
+    },
+    ("sweep", "chi"): {**_SWEEP, "zeta1": (_real, _ZETA1), "zeta2": (_real, _ZETA2)},
+    ("sweep", "polarizer"): {
+        **_SWEEP,
+        "chi": (_real, _REQUIRED),
+        "which": (_one_of(*_WHICH), "P1"),
+        # the polarizer held fixed keeps its default angle
+        "fixed_zeta": (_real, lambda params: _ZETA2 if params["which"] == "P1" else _ZETA1),
+    },
+}
+_RATE_MODEL = {f.name: (_real, _UNSET) for f in dataclasses.fields(RateModel)}
+
+
+def _checked(where: str, obj: dict, schema: dict) -> dict:
+    """obj checked against schema: known keys only, each key checked, and
+    the defaults of the keys not given filled in (in schema order, so a
+    callable default sees the keys before it)."""
+    unknown = [key for key in obj if key not in schema]
+    if unknown:
+        raise CliError(f"{where}{unknown[0]}: unknown key (known: {', '.join(schema)})")
+    out = {}
+    for key, (check, default) in schema.items():
+        if key in obj:
+            out[key] = check(where + key, obj[key])
+        elif default is _REQUIRED:
+            raise CliError(f"{where}{key}: required key is missing")
+        elif default is not _UNSET:
+            out[key] = default(out) if callable(default) else default
+    return out
+
+
+def _form(command: str, params: dict):
+    if command == "state":
+        if ("c" in params) == ("chi" in params):
+            raise CliError("params.c, params.chi: give exactly one of the two")
+        return "c" if "c" in params else "chi"
+    if command == "sweep":
+        if "kind" not in params:
+            raise CliError("params.kind: required key is missing")
+        return _SWEEP["kind"][0]("params.kind", params["kind"])
+    return None
 
 
 @dataclass
@@ -67,24 +216,36 @@ class RunConfig:
     rate_model: dict = field(default_factory=dict)
 
     def to_json_obj(self) -> dict:
-        return {
-            "command": self.command,
-            "params": self.params,
-            "output_format": self.output_format,
-            "output_path": self.output_path,
-            "seed": self.seed,
-            "rate_model": self.rate_model,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "RunConfig":
+    def from_json_obj(cls, obj) -> "RunConfig":
+        """Check a run against the schema and fill in its defaults.
+
+        This is the one validator of a run: argv (through config_from_args)
+        and --config files both pass through it.  It checks the keys, their
+        types and the choices; ranges and finiteness are left to the
+        library objects the command builds.  Every error is a CliError that
+        names the offending key.
+        """
+        if not isinstance(obj, dict):
+            raise CliError(f"config: expected a JSON object, got {_shown(obj)}")
+        top = _checked("", obj, _TOP)
+        command = top["command"]
+        formats = _FORMATS[command]
+        output_format = _one_of(*formats)("output_format", top.get("output_format", formats[0]))
+        rate_model = top.get("rate_model", {})
+        if command != "sweep" and (top["seed"] is not None or rate_model):
+            key = "seed" if top["seed"] is not None else "rate_model"
+            raise CliError(f"{key}: applies to sweep only")
+        params = top["params"]
         return cls(
-            command=obj["command"],
-            params=dict(obj.get("params", {})),
-            output_format=obj.get("output_format", "csv"),
-            output_path=obj.get("output_path"),
-            seed=obj.get("seed"),
-            rate_model=dict(obj.get("rate_model", {})),
+            command=command,
+            params=_checked("params.", params, _PARAMS[command, _form(command, params)]),
+            output_format=output_format,
+            output_path=top["output_path"],
+            seed=top["seed"],
+            rate_model=_checked("rate_model.", rate_model, _RATE_MODEL),
         )
 
     def save(self, path: str) -> None:
@@ -93,11 +254,14 @@ class RunConfig:
     @classmethod
     def load(cls, path: str) -> "RunConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_obj(json.load(fh))
+            try:
+                obj = json.load(fh)
+            except RecursionError:
+                raise CliError("config: nested too deeply to read") from None
+        return cls.from_json_obj(obj)
 
 
-class CliError(ValueError):
-    """Bad user input detected after argument parsing."""
+# ---------------------------------------------------------------- argv text
 
 
 def _parse_complex_triple(text: str) -> list[list[float]]:
@@ -109,35 +273,6 @@ def _parse_complex_triple(text: str) -> list[list[float]]:
     except ValueError as exc:
         raise CliError(f"malformed amplitude in {text!r}: {exc}") from exc
     return [[z.real, z.imag] for z in values]
-
-
-def _parse_sphere_point(text: str) -> PoincarePoint:
-    key = text.strip()
-    for name, state in NAMED_STATES.items():
-        if key.lower() == name.lower():
-            return poincare_from_jones(state)
-    try:
-        theta, phi = (float(p) for p in key.split(","))
-        return PoincarePoint(theta, phi)
-    except (ValueError, TypeError) as exc:
-        raise CliError(
-            f"{text!r} is neither a named state ({', '.join(NAMED_STATES)}) "
-            "nor 'theta,phi' in degrees"
-        ) from exc
-
-
-def _parse_globe_point(text: str) -> PoincarePoint:
-    key = text.strip().lower()
-    if key in CITIES:
-        return globe_to_poincare(CITIES[key])
-    try:
-        lat, lon = (float(p) for p in text.split(","))
-        return globe_to_poincare(GlobePoint(lat, lon))
-    except (ValueError, TypeError) as exc:
-        raise CliError(
-            f"{text!r} is neither a known place ({', '.join(CITIES)}) "
-            "nor 'latitude,longitude' in degrees"
-        ) from exc
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -160,6 +295,38 @@ def _parse_grid(text: str) -> list[float]:
     return [start + step * i for i in range(n + 1) if start + step * i <= stop + 1e-9]
 
 
+# Partner inputs per picture: the points known by name, keyed in lower
+# case so names match case-insensitively; how the names and the
+# coordinates read in messages; and the point two coordinates make.
+_SPHERE_INPUT = (
+    {name.lower(): poincare_from_jones(state) for name, state in NAMED_STATES.items()},
+    f"a named state ({', '.join(NAMED_STATES)}) nor 'theta,phi'",
+    PoincarePoint,
+)
+_GLOBE_INPUT = (
+    {name.lower(): globe_to_poincare(place) for name, place in CITIES.items()},
+    f"a known place ({', '.join(CITIES)}) nor 'latitude,longitude'",
+    lambda lat, lon: globe_to_poincare(GlobePoint(lat, lon)),
+)
+
+
+def _parse_point(text: str, globe: bool) -> PoincarePoint:
+    """A name from the picture's table, else two coordinates in degrees.
+
+    Coordinates out of range raise the ValueError of PoincarePoint or
+    GlobePoint, with its own message.
+    """
+    names, forms, from_coordinates = _GLOBE_INPUT if globe else _SPHERE_INPUT
+    point = names.get(text.strip().lower())
+    if point is not None:
+        return point
+    try:
+        x, y = (float(p) for p in text.split(","))
+    except ValueError:
+        raise CliError(f"{text!r} is neither {forms} in degrees") from None
+    return from_coordinates(x, y)
+
+
 def _resolve_output_path(name: str) -> str:
     if os.path.isabs(name) or os.path.dirname(name):
         return name
@@ -174,10 +341,31 @@ def _format_globe(g: GlobePoint) -> str:
     return f"(lat={g.latitude:.4f}, lon={g.longitude:.4f})"
 
 
-# ---------------------------------------------------------------- state
+# ---------------------------------------------------------------- runs
+#
+# Each command's pure step takes a validated RunConfig, builds every
+# library object (so every domain check runs) and formats the output; it
+# writes nothing.  `_write` then does all of a run's output.
 
 
-def run_state(cfg: RunConfig) -> int:
+@dataclass(frozen=True)
+class _Output:
+    """What a run prints and writes, computed before anything is written."""
+
+    code: int
+    stdout: str
+    path: str | None = None
+    text: str = ""
+
+
+def _report(cfg: RunConfig, text: str, code: int = EXIT_OK) -> _Output:
+    """A report goes to the output path when one is given, else to stdout."""
+    if cfg.output_path:
+        return _Output(code, "", _resolve_output_path(cfg.output_path), text)
+    return _Output(code, text)
+
+
+def _state(cfg: RunConfig) -> _Output:
     params = cfg.params
     if "c" in params:
         c1, c2, c3 = (complex(re, im) for re, im in params["c"])
@@ -189,11 +377,13 @@ def run_state(cfg: RunConfig) -> int:
         state = source_state(SourceSetting(params["chi"], params["dphi"]))
     pair = factor_qutrit(state)
     stokes = stokes_expectation(state)
+    try:
+        d_ratio = (state.d1 / state.d3) ** 2
+    except (ZeroDivisionError, OverflowError):  # d3 = 0, or beyond the float range
+        d_ratio = math.inf
     report = {
         "qutrit": state.to_json(),
-        "d1_squared_over_d3_squared": (
-            (state.d1 / state.d3) ** 2 if state.d3 > 0 else None
-        ),
+        "d1_squared_over_d3_squared": d_ratio if d_ratio < math.inf else None,
         "halves_sphere": [pair.p.to_json(), pair.q.to_json()],
         "halves_globe": [
             poincare_to_globe(pair.p).to_json(),
@@ -208,12 +398,7 @@ def run_state(cfg: RunConfig) -> int:
     else:
         lines = [
             f"qutrit: c1 = {state.c1:.9g}, c2 = {state.c2:.9g}, c3 = {state.c3:.9g}",
-            "d1^2/d3^2 = "
-            + (
-                f"{report['d1_squared_over_d3_squared']:.9g}"
-                if report["d1_squared_over_d3_squared"] is not None
-                else "inf"
-            ),
+            f"d1^2/d3^2 = {d_ratio:.9g}",
             f"halves (sphere): {_format_point(pair.p)}, {_format_point(pair.q)}",
             "halves (globe): "
             f"{_format_globe(poincare_to_globe(pair.p))}, "
@@ -223,25 +408,17 @@ def run_state(cfg: RunConfig) -> int:
             f"sigma = {report['subtense_angle']:.4f} deg",
         ]
         text = "\n".join(lines) + "\n"
-    _emit(text, cfg.output_path)
-    return EXIT_OK
+    return _report(cfg, text)
 
 
-# ---------------------------------------------------------------- partner
-
-
-def run_partner(cfg: RunConfig) -> int:
+def _partner(cfg: RunConfig) -> _Output:
     params = cfg.params
-    parse = _parse_globe_point if params.get("globe") else _parse_sphere_point
-    a = parse(params["a"])
-    b = parse(params["b"])
-    c = parse(params["c"])
+    a, b, c = (_parse_point(params[key], params["globe"]) for key in ("a", "b", "c"))
     ja, jb, jc = (jones_from_poincare(p) for p in (a, b, c))
     try:
         jd = orthogonal_partner_jones(ja, jb, jc)
     except AnyPartnerError as exc:
-        _emit(f"degenerate geometry: {exc}\n", cfg.output_path)
-        return EXIT_DEGENERATE
+        return _report(cfg, f"degenerate geometry: {exc}\n", EXIT_DEGENERATE)
     d = poincare_from_jones(jd)
     residual = abs(pair_amplitude(jc, jd, ja, jb))
     if cfg.output_format == "json":
@@ -263,58 +440,57 @@ def run_partner(cfg: RunConfig) -> int:
             f"partner (globe): {_format_globe(poincare_to_globe(d))}\n"
             f"residual |amplitude| = {residual:.3e}\n"
         )
-    _emit(text, cfg.output_path)
-    return EXIT_OK
+    return _report(cfg, text)
 
 
-# ---------------------------------------------------------------- sweep
+# sweep param -> keyword of sweep_chi/sweep_filter, where the names differ
+_SWEEP_KEYWORDS = {
+    "dphi": "delta_phi",
+    "duration": "duration_per_point",
+    "drift": "pump_drift",
+    "which": "which_filter",
+}
 
 
-def run_sweep(cfg: RunConfig) -> int:
+def _sweep(cfg: RunConfig) -> _Output:
     import numpy as np
 
-    params = cfg.params
-    m = RateModel(**cfg.rate_model)
-    grid = params.get("grid")
-    common = dict(
-        m=m,
+    params = dict(cfg.params)
+    kind = params.pop("kind")
+    sweep, grid_keyword = (sweep_chi, "chi_grid") if kind == "chi" else (sweep_filter, "zeta_grid")
+    keywords = dict(_SWEEP_KEYWORDS, grid=grid_keyword)
+    result = sweep(
+        m=RateModel(**cfg.rate_model),
         seed=cfg.seed,
-        duration_per_point=params.get("duration", 1.0),
-        pump_drift=params.get("drift", 0.0),
+        **{keywords.get(key, key): value for key, value in params.items()},
     )
-    if params["kind"] == "chi":
-        result = sweep_chi(
-            params["zeta1"], params["zeta2"], params["dphi"], chi_grid=grid, **common
-        )
-    else:
-        result = sweep_filter(
-            params["chi"],
-            params["dphi"],
-            which_filter=params.get("which", "P1"),
-            fixed_zeta=params["fixed_zeta"],
-            zeta_grid=grid,
-            **common,
-        )
-    out_name = cfg.output_path or f"sweep_{params['kind']}.{cfg.output_format}"
-    path = _resolve_output_path(out_name)
-    result.write(path, cfg.output_format)
+    text = result.to_csv() if cfg.output_format == "csv" else result.to_json()
+    path = _resolve_output_path(cfg.output_path or f"sweep_{kind}.{cfg.output_format}")
     if np.isnan(result.g2).all():  # a seeded run whose sampled singles all vanish
-        print(f"wrote {path}\nmin g2 undefined: g2 is nan at every point")
-        return EXIT_OK
-    i = int(np.nanargmin(result.g2))
-    print(
-        f"wrote {path}\n"
-        f"argmin {result.param_name} = {result.param[i]:.4f} deg, "
-        f"min g2 = {result.g2[i]:.6f}, Rc there = {result.rc[i]:.8e}"
-    )
-    return EXIT_OK
-
-
-def _emit(text: str, output_path: str | None) -> None:
-    if output_path:
-        _write_atomic(_resolve_output_path(output_path), text)
+        summary = "min g2 undefined: g2 is nan at every point"
     else:
-        sys.stdout.write(text)
+        i = int(np.nanargmin(result.g2))
+        summary = (
+            f"argmin {result.param_name} = {result.param[i]:.4f} deg, "
+            f"min g2 = {result.g2[i]:.6f}, Rc there = {result.rc[i]:.8e}"
+        )
+    return _Output(EXIT_OK, f"wrote {path}\n{summary}\n", path, text)
+
+
+_RUNS = {"state": _state, "partner": _partner, "sweep": _sweep}
+
+
+def _write(out: _Output) -> int:
+    """The write step: the one place a run's output is written."""
+    if out.path is not None:
+        _write_atomic(out.path, out.text)
+    sys.stdout.write(out.stdout)
+    return out.code
+
+
+def run_config(cfg: RunConfig) -> int:
+    """Run a validated config (from config_from_args or RunConfig.load)."""
+    return _write(_RUNS[cfg.command](cfg))
 
 
 # ---------------------------------------------------------------- parser
@@ -329,19 +505,9 @@ def _add_rate_model_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--bg2", type=float, help="detector 2 background counts/s")
 
 
-def _collect_rate_model(args: argparse.Namespace) -> dict:
-    mapping = {
-        "pair_rate": args.pair_rate,
-        "eta1": args.eta1,
-        "eta2": args.eta2,
-        "coincidence_window": args.tc,
-        "background1": args.bg1,
-        "background2": args.bg2,
-    }
-    return {k: v for k, v in mapping.items() if v is not None}
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """The command line.  Options left out are None, so the defaults come
+    from the run schema only."""
     parser = argparse.ArgumentParser(
         prog="biphoton",
         description="Photon-pair polarization states, orthogonality and "
@@ -354,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
         "state", help="report a pair state from source settings or amplitudes"
     )
     p_state.add_argument("--chi", type=float, help="pump half-wave-plate angle, deg")
-    p_state.add_argument("--dphi", type=float, default=180.0, help="quartz phase, deg")
+    p_state.add_argument("--dphi", type=float, help="quartz phase, deg")
     p_state.add_argument("--c", help="qutrit amplitudes 'c1,c2,c3' (complex allowed)")
     p_state.add_argument("--json", action="store_true", help="machine-readable output")
     p_state.add_argument("--out", help="write the report to this path")
@@ -378,102 +544,90 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = subparsers.add_parser(
         "sweep", help="scan a source or filter angle and write a rate table"
     )
-    p_sweep.add_argument("kind", choices=["chi", "polarizer"])
-    p_sweep.add_argument("--z1", type=float, default=45.0, help="polarizer P1 angle")
-    p_sweep.add_argument("--z2", type=float, default=60.0, help="polarizer P2 angle")
+    p_sweep.add_argument("kind", choices=_KINDS)
+    p_sweep.add_argument("--z1", type=float, help="polarizer P1 angle")
+    p_sweep.add_argument("--z2", type=float, help="polarizer P2 angle")
     p_sweep.add_argument("--chi", type=float, help="pump angle (polarizer sweep)")
-    p_sweep.add_argument("--dphi", type=float, default=180.0)
-    p_sweep.add_argument(
-        "--which", choices=["P1", "P2"], default="P1", help="polarizer to scan"
-    )
+    p_sweep.add_argument("--dphi", type=float)
+    p_sweep.add_argument("--which", choices=_WHICH, help="polarizer to scan")
     p_sweep.add_argument("--grid", help="scan grid 'start:stop:step' in degrees")
-    p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
+    p_sweep.add_argument("--format", choices=_FORMATS["sweep"])
     p_sweep.add_argument("--out", help="output path (default sweep_<kind>.<format>)")
     p_sweep.add_argument("--seed", type=int, help="sample Poisson counts with this seed")
+    p_sweep.add_argument("--duration", type=float, help="seconds per grid point")
     p_sweep.add_argument(
-        "--duration", type=float, default=1.0, help="seconds per grid point"
-    )
-    p_sweep.add_argument(
-        "--drift", type=float, default=0.0, help="total fractional pump-power decrease"
+        "--drift", type=float, help="total fractional pump-power decrease"
     )
     p_sweep.add_argument("--save-config", help="save the resolved config as JSON")
     _add_rate_model_args(p_sweep)
     return parser
 
 
+def _given(**values) -> dict:
+    return {key: value for key, value in values.items() if value is not None}
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    """Map a parsed command line onto the JSON shape of a run, then check
+    it with RunConfig.from_json_obj like any --config file."""
     if args.command == "state":
-        if (args.c is None) == (args.chi is None):
-            raise CliError("give exactly one of --chi/--dphi or --c")
-        if args.c is not None:
-            params = {"c": _parse_complex_triple(args.c)}
-        else:
-            params = {"chi": args.chi, "dphi": args.dphi}
-        return RunConfig(
-            command="state",
-            params=params,
-            output_format="json" if args.json else "text",
-            output_path=args.out,
+        params = _given(
+            c=None if args.c is None else _parse_complex_triple(args.c),
+            chi=args.chi,
+            dphi=args.dphi,
         )
-    if args.command == "partner":
-        return RunConfig(
-            command="partner",
-            params={"a": args.a, "b": args.b, "c": args.c, "globe": args.globe},
-            output_format="json" if args.json else "text",
-            output_path=args.out,
+    elif args.command == "partner":
+        params = {"a": args.a, "b": args.b, "c": args.c, "globe": args.globe}
+    else:
+        params = _given(
+            kind=args.kind,
+            dphi=args.dphi,
+            duration=args.duration,
+            drift=args.drift,
+            grid=_parse_grid(args.grid) if args.grid else None,
         )
-    if args.command == "sweep":
-        params: dict = {
-            "kind": args.kind,
-            "dphi": args.dphi,
-            "duration": args.duration,
-            "drift": args.drift,
-        }
-        if args.grid:
-            params["grid"] = _parse_grid(args.grid)
         if args.kind == "chi":
-            params["zeta1"] = args.z1
-            params["zeta2"] = args.z2
+            params.update(_given(zeta1=args.z1, zeta2=args.z2))
         else:
-            if args.chi is None:
-                raise CliError("polarizer sweep needs --chi")
-            params["chi"] = args.chi
-            params["which"] = args.which
-            params["fixed_zeta"] = args.z2 if args.which == "P1" else args.z1
-        return RunConfig(
-            command="sweep",
-            params=params,
-            output_format=args.format,
-            output_path=args.out,
-            seed=args.seed,
-            rate_model=_collect_rate_model(args),
+            # the fixed polarizer is P2 unless --which P2 scans it
+            params.update(
+                _given(
+                    chi=args.chi,
+                    which=args.which,
+                    fixed_zeta=args.z1 if args.which == "P2" else args.z2,
+                )
+            )
+    obj = {"command": args.command, "params": params, "output_path": args.out}
+    if args.command == "sweep":
+        obj.update(_given(output_format=args.format, seed=args.seed))
+        obj["rate_model"] = _given(
+            pair_rate=args.pair_rate,
+            eta1=args.eta1,
+            eta2=args.eta2,
+            coincidence_window=args.tc,
+            background1=args.bg1,
+            background2=args.bg2,
         )
-    raise CliError(f"unknown command {args.command!r}")
-
-
-def run_config(cfg: RunConfig) -> int:
-    runners = {"state": run_state, "partner": run_partner, "sweep": run_sweep}
-    if cfg.command not in runners:
-        raise CliError(f"unknown command {cfg.command!r}")
-    return runners[cfg.command](cfg)
+    elif args.json:
+        obj["output_format"] = "json"
+    return RunConfig.from_json_obj(obj)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.config and args.command:
+        parser.error("--config replaces a command line, not combines with it")
+    if not args.config and not args.command:
+        parser.error("a command or --config is required")
+    save_path = getattr(args, "save_config", None)
     try:
-        if args.config:
-            if args.command:
-                parser.error("--config replaces a command line, not combines with it")
-            cfg = RunConfig.load(args.config)
-        else:
-            if not args.command:
-                parser.error("a command or --config is required")
-            cfg = config_from_args(args)
-            if getattr(args, "save_config", None):
-                cfg.save(args.save_config)
-        return run_config(cfg)
-    except (CliError, ValueError, KeyError, TypeError) as exc:
+        cfg = RunConfig.load(args.config) if args.config else config_from_args(args)
+        output = _RUNS[cfg.command](cfg)
+        if save_path:
+            cfg.save(save_path)
+        return _write(output)
+    except ValueError as exc:  # CliError and the library's input checks
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -88,6 +88,13 @@ def _stokes(h, v):
     return _abs2(h) - _abs2(v), 2.0 * cross.real, 2.0 * cross.imag
 
 
+def _finite_angle(name: str, angle) -> float:
+    angle = float(angle)
+    if not math.isfinite(angle):
+        raise ValueError(f"{name} must be finite, got {angle}")
+    return angle
+
+
 def _wrap_angle(angle: float) -> float:
     """Wrap an angle in degrees into (-180, 180]."""
     wrapped = math.remainder(angle, 360.0)
@@ -145,7 +152,7 @@ class PoincarePoint:
         theta = float(self.theta)
         if not 0.0 <= theta <= 180.0:
             raise ValueError(f"theta must be in [0, 180] degrees, got {theta}")
-        phi = _wrap_angle(float(self.phi))
+        phi = _wrap_angle(_finite_angle("phi", self.phi))
         if theta <= _POLE_TOL or theta >= 180.0 - _POLE_TOL:
             phi = 0.0
         object.__setattr__(self, "theta", theta)
@@ -208,7 +215,8 @@ class GlobePoint:
         if not -90.0 <= lat <= 90.0:
             raise ValueError(f"latitude must be in [-90, 90] degrees, got {lat}")
         object.__setattr__(self, "latitude", lat)
-        object.__setattr__(self, "longitude", _wrap_angle(float(self.longitude)))
+        lon = _wrap_angle(_finite_angle("longitude", self.longitude))
+        object.__setattr__(self, "longitude", lon)
 
     def to_json(self) -> dict:
         return {"latitude": self.latitude, "longitude": self.longitude}

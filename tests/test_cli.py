@@ -77,6 +77,14 @@ def test_state_json_report(capsys):
     assert abs(obj["d1_squared_over_d3_squared"] - 3.0) < 1e-9
 
 
+@pytest.mark.parametrize("c", ["1,0,1e-200", "1,0,5e-324", "1,0,0"])
+def test_state_ratio_beyond_the_float_range_reads_inf(capsys, c):
+    assert main(["state", "--c", c]) == EXIT_OK
+    assert "d1^2/d3^2 = inf\n" in capsys.readouterr().out
+    assert main(["state", "--c", c, "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["d1_squared_over_d3_squared"] is None
+
+
 # ---------------------------------------------------------------- partner
 
 
@@ -348,3 +356,180 @@ def test_config_runs_state(tmp_path, capsys):
 
 def test_missing_config_file_is_io_error(capsys):
     assert main(["--config", "/no/such/config.json"]) == EXIT_IO
+
+
+# ---------------------------------------------------------------- schema
+
+SAVED_STATE = """{
+  "command": "state",
+  "output_format": "text",
+  "output_path": null,
+  "params": {
+    "chi": 30.0,
+    "dphi": 180.0
+  },
+  "rate_model": {},
+  "seed": null
+}
+"""
+
+SAVED_POLARIZER = """{
+  "command": "sweep",
+  "output_format": "csv",
+  "output_path": null,
+  "params": {
+    "chi": 30.0,
+    "dphi": 180.0,
+    "drift": 0.0,
+    "duration": 1.0,
+    "fixed_zeta": 45.0,
+    "kind": "polarizer",
+    "which": "P2"
+  },
+  "rate_model": {},
+  "seed": 3
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, saved",
+    [
+        (["state", "--chi", "30"], SAVED_STATE),
+        (["sweep", "polarizer", "--chi", "30", "--which", "P2", "--seed", "3"], SAVED_POLARIZER),
+    ],
+    ids=["state", "sweep-polarizer"],
+)
+def test_save_config_bytes(tmp_path, capsys, monkeypatch, argv, saved):
+    monkeypatch.setenv("BIPHOTON_OUTDIR", str(tmp_path))
+    path = tmp_path / "saved.json"
+    assert main([*argv, "--save-config", str(path)]) == EXIT_OK
+    assert path.read_text(encoding="utf-8") == saved
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["200,0", "H", "V"], "theta must be in [0, 180]"),
+        (["--globe", "100,0", "turin", "baltimore"], "latitude must be in [-90, 90]"),
+        (["90,inf", "H", "V"], "phi must be finite"),
+        (["--globe", "0,nan", "turin", "baltimore"], "longitude must be finite"),
+        (["H", "V", "1,2,3"], "neither a named state"),
+    ],
+    ids=["theta", "latitude", "phi-inf", "longitude-nan", "three-numbers"],
+)
+def test_partner_rejects_bad_points_with_their_reason(capsys, argv, message):
+    assert main(["partner", *argv]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
+def test_partner_names_ignore_case(capsys):
+    assert main(["partner", "H", "V", "Dbar"]) == EXIT_OK
+    expected = capsys.readouterr().out
+    assert main(["partner", "h", " v ", "DBAR"]) == EXIT_OK
+    assert capsys.readouterr().out == expected
+    assert main(["partner", "--globe", "Moscow", "TURIN", "baltimore"]) == EXIT_OK
+
+
+_CHI_SWEEP = {"kind": "chi", "zeta1": 45.0, "zeta2": 60.0, "dphi": 180.0}
+
+# (config, text naming the offending key)
+MALFORMED_CONFIGS = {
+    "partner-c-not-a-string": (
+        {"command": "partner", "params": {"a": "H", "b": "V", "c": 5}}, "params.c"),
+    "sweep-format-xml": (
+        {"command": "sweep", "params": _CHI_SWEEP, "output_format": "xml",
+         "output_path": "o.x"}, "output_format"),
+    "sweep-kind-bogus": ({"command": "sweep", "params": {**_CHI_SWEEP, "kind": "bogus"}},
+                         "params.kind"),
+    "chi-true": ({"command": "state", "params": {"chi": True, "dphi": 180.0}}, "params.chi"),
+    "not-an-object": ([1, 2], "config"),
+    "state-missing-chi": ({"command": "state", "params": {"dphi": 180.0}},
+                          "params.c, params.chi"),
+    "polarizer-missing-chi": ({"command": "sweep", "params": {"kind": "polarizer"}},
+                              "params.chi"),
+    "c-and-chi": ({"command": "state", "params": {"c": [[1, 0], [0, 0], [0, 0]], "chi": 30.0}},
+                  "params.c, params.chi"),
+    "short-c": ({"command": "state", "params": {"c": [[1, 0], [0, 0]]}}, "params.c"),
+    "seed-negative": ({"command": "sweep", "params": _CHI_SWEEP, "seed": -1}, "seed"),
+    "seed-fraction": ({"command": "sweep", "params": _CHI_SWEEP, "seed": 1.5}, "seed"),
+    "seed-true": ({"command": "sweep", "params": _CHI_SWEEP, "seed": True}, "seed"),
+    "seed-on-state": ({"command": "state", "params": {"chi": 30.0}, "seed": 1}, "seed"),
+    "grid-over-cap": (None, "params.grid"),  # built in the test from the cap
+    "grid-not-a-list": ({"command": "sweep", "params": {**_CHI_SWEEP, "grid": "0:90:1"}},
+                        "params.grid"),
+    "rate-model-unknown-key": (
+        {"command": "sweep", "params": _CHI_SWEEP, "rate_model": {"bogus": 1.0}},
+        "rate_model.bogus"),
+    "rate-model-string": (
+        {"command": "sweep", "params": _CHI_SWEEP, "rate_model": {"eta1": "0.2"}},
+        "rate_model.eta1"),
+    "state-format-csv": ({"command": "state", "params": {"chi": 30.0}, "output_format": "csv"},
+                         "output_format"),
+    "missing-params": ({"command": "sweep"}, "params"),
+    "missing-command": ({"params": {"chi": 30.0}}, "command"),
+    "unknown-top-key": ({"command": "state", "params": {"chi": 30.0}, "chi": 30.0}, "chi"),
+    "duration-string": ({"command": "sweep", "params": {**_CHI_SWEEP, "duration": "2"}},
+                        "params.duration"),
+    "int-too-large": ({"command": "state", "params": {"chi": 10**400}}, "params.chi"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_CONFIGS)
+def test_malformed_config_exits_2_and_writes_nothing(
+    tmp_path, tmp_path_factory, capsys, monkeypatch, name
+):
+    obj, key = MALFORMED_CONFIGS[name]
+    if obj is None:
+        # one point over a small cap, so nothing large is built
+        monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 4)
+        grid = [float(i) for i in range(cli._MAX_GRID_POINTS + 1)]
+        obj = {"command": "sweep", "params": {**_CHI_SWEEP, "grid": grid}}
+    path = tmp_path_factory.mktemp("config") / "c.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("BIPHOTON_OUTDIR", str(tmp_path))
+    assert main(["--config", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}"), err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_deeply_nested_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    assert main(["--config", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: config: nested too deeply")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["state", "--chi", "inf"], "chi must be finite"),
+        (["sweep", "chi", "--drift", "2"], "pump_drift"),
+        (["partner", "H", "V", "1,2,3"], "'1,2,3'"),
+        (["state", "--chi", "30", "--c", "1,0,0"], "params.c, params.chi"),
+        (["sweep", "polarizer", "--z2", "60"], "params.chi"),
+        (["sweep", "chi", "--seed", "-1"], "seed"),
+    ],
+    ids=["state-chi-inf", "sweep-drift", "partner-three-numbers", "state-c-and-chi",
+         "polarizer-without-chi", "seed-negative"],
+)
+def test_rejected_run_saves_no_config(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("BIPHOTON_OUTDIR", str(tmp_path))
+    assert main([*argv, "--save-config", "c.json"]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_defaults_match_the_command_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("BIPHOTON_OUTDIR", str(tmp_path))
+    for argv, obj in (
+        (["sweep", "polarizer", "--chi", "30", "--which", "P2"],
+         {"command": "sweep", "params": {"kind": "polarizer", "chi": 30.0, "which": "P2"}}),
+        (["state", "--chi", "30"], {"command": "state", "params": {"chi": 30.0}}),
+        (["partner", "H", "V", "D"], {"command": "partner", "params": {"a": "H", "b": "V", "c": "D"}}),
+    ):
+        expected = cli.config_from_args(cli.build_parser().parse_args(argv))
+        assert RunConfig.from_json_obj(obj) == expected
