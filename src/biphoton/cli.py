@@ -82,6 +82,11 @@ def _shown(value) -> str:
     return text if len(text) <= 40 else text[:37] + "..."
 
 
+def _json_text(obj) -> str:
+    """The JSON text of a report or a saved config."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def _check(what: str, ok):
     """The check that accepts the values for which ok() is true."""
 
@@ -249,7 +254,7 @@ class RunConfig:
         )
 
     def save(self, path: str) -> None:
-        _write_atomic(path, json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n")
+        _write_atomic(path, _json_text(self.to_json_obj()))
 
     @classmethod
     def load(cls, path: str) -> "RunConfig":
@@ -376,6 +381,8 @@ def _state(cfg: RunConfig) -> _Output:
     else:
         state = source_state(SourceSetting(params["chi"], params["dphi"]))
     pair = factor_qutrit(state)
+    halves = (pair.p, pair.q)
+    globe = [poincare_to_globe(p) for p in halves]
     stokes = stokes_expectation(state)
     try:
         d_ratio = (state.d1 / state.d3) ** 2
@@ -384,25 +391,20 @@ def _state(cfg: RunConfig) -> _Output:
     report = {
         "qutrit": state.to_json(),
         "d1_squared_over_d3_squared": d_ratio if d_ratio < math.inf else None,
-        "halves_sphere": [pair.p.to_json(), pair.q.to_json()],
-        "halves_globe": [
-            poincare_to_globe(pair.p).to_json(),
-            poincare_to_globe(pair.q).to_json(),
-        ],
+        "halves_sphere": [p.to_json() for p in halves],
+        "halves_globe": [g.to_json() for g in globe],
         "stokes": stokes.to_json(),
         "polarization_degree": polarization_degree(state),
         "subtense_angle": subtense_angle(state),
     }
     if cfg.output_format == "json":
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        text = _json_text(report)
     else:
         lines = [
             f"qutrit: c1 = {state.c1:.9g}, c2 = {state.c2:.9g}, c3 = {state.c3:.9g}",
             f"d1^2/d3^2 = {d_ratio:.9g}",
-            f"halves (sphere): {_format_point(pair.p)}, {_format_point(pair.q)}",
-            "halves (globe): "
-            f"{_format_globe(poincare_to_globe(pair.p))}, "
-            f"{_format_globe(poincare_to_globe(pair.q))}",
+            f"halves (sphere): {', '.join(map(_format_point, halves))}",
+            f"halves (globe): {', '.join(map(_format_globe, globe))}",
             f"stokes: ({stokes.s1:.9g}, {stokes.s2:.9g}, {stokes.s3:.9g})",
             f"P = {report['polarization_degree']:.9g}",
             f"sigma = {report['subtense_angle']:.4f} deg",
@@ -422,18 +424,12 @@ def _partner(cfg: RunConfig) -> _Output:
     d = poincare_from_jones(jd)
     residual = abs(pair_amplitude(jc, jd, ja, jb))
     if cfg.output_format == "json":
-        text = (
-            json.dumps(
-                {
-                    "partner_sphere": d.to_json(),
-                    "partner_globe": poincare_to_globe(d).to_json(),
-                    "residual": residual,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        report = {
+            "partner_sphere": d.to_json(),
+            "partner_globe": poincare_to_globe(d).to_json(),
+            "residual": residual,
+        }
+        text = _json_text(report)
     else:
         text = (
             f"partner (sphere): {_format_point(d)}\n"
@@ -443,29 +439,23 @@ def _partner(cfg: RunConfig) -> _Output:
     return _report(cfg, text)
 
 
-# sweep param -> keyword of sweep_chi/sweep_filter, where the names differ
-_SWEEP_KEYWORDS = {
-    "dphi": "delta_phi",
-    "duration": "duration_per_point",
-    "drift": "pump_drift",
-    "which": "which_filter",
-}
-
-
 def _sweep(cfg: RunConfig) -> _Output:
     import numpy as np
 
-    params = dict(cfg.params)
-    kind = params.pop("kind")
-    sweep, grid_keyword = (sweep_chi, "chi_grid") if kind == "chi" else (sweep_filter, "zeta_grid")
-    keywords = dict(_SWEEP_KEYWORDS, grid=grid_keyword)
-    result = sweep(
-        m=RateModel(**cfg.rate_model),
-        seed=cfg.seed,
-        **{keywords.get(key, key): value for key, value in params.items()},
+    p = cfg.params
+    common = dict(
+        delta_phi=p["dphi"], m=RateModel(**cfg.rate_model), seed=cfg.seed,
+        duration_per_point=p["duration"], pump_drift=p["drift"],
     )
+    if p["kind"] == "chi":
+        result = sweep_chi(zeta1=p["zeta1"], zeta2=p["zeta2"], chi_grid=p.get("grid"), **common)
+    else:
+        result = sweep_filter(
+            chi=p["chi"], which_filter=p["which"], fixed_zeta=p["fixed_zeta"],
+            zeta_grid=p.get("grid"), **common,
+        )
     text = result.to_csv() if cfg.output_format == "csv" else result.to_json()
-    path = _resolve_output_path(cfg.output_path or f"sweep_{kind}.{cfg.output_format}")
+    path = _resolve_output_path(cfg.output_path or f"sweep_{p['kind']}.{cfg.output_format}")
     if np.isnan(result.g2).all():  # a seeded run whose sampled singles all vanish
         summary = "min g2 undefined: g2 is nan at every point"
     else:
@@ -496,18 +486,15 @@ def run_config(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _add_rate_model_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--pair-rate", type=float, help="pairs/s at the beamsplitter")
-    sub.add_argument("--eta1", type=float, help="detector 1 efficiency")
-    sub.add_argument("--eta2", type=float, help="detector 2 efficiency")
-    sub.add_argument("--tc", type=float, help="coincidence window in seconds")
-    sub.add_argument("--bg1", type=float, help="detector 1 background counts/s")
-    sub.add_argument("--bg2", type=float, help="detector 2 background counts/s")
+def _add_option(sub: argparse.ArgumentParser, flag: str, key: str, help: str, **kwargs) -> None:
+    """An option stored under its run-schema key, shown in --help by its flag."""
+    sub.add_argument(flag, dest=key, metavar=flag.lstrip("-").upper(), help=help, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The command line.  Options left out are None, so the defaults come
-    from the run schema only."""
+    """The command line.  Each command stores its options under their
+    run-schema keys and leaves out the options not given, so the defaults
+    come from the run schema only."""
     parser = argparse.ArgumentParser(
         prog="biphoton",
         description="Photon-pair polarization states, orthogonality and "
@@ -516,100 +503,77 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="run from a saved JSON config file")
     subparsers = parser.add_subparsers(dest="command")
 
-    p_state = subparsers.add_parser(
-        "state", help="report a pair state from source settings or amplitudes"
-    )
+    def add_command(name: str, help: str) -> argparse.ArgumentParser:
+        return subparsers.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+
+    p_state = add_command("state", "report a pair state from source settings or amplitudes")
     p_state.add_argument("--chi", type=float, help="pump half-wave-plate angle, deg")
     p_state.add_argument("--dphi", type=float, help="quartz phase, deg")
     p_state.add_argument("--c", help="qutrit amplitudes 'c1,c2,c3' (complex allowed)")
-    p_state.add_argument("--json", action="store_true", help="machine-readable output")
-    p_state.add_argument("--out", help="write the report to this path")
-    p_state.add_argument("--save-config", help="save the resolved config as JSON")
 
-    p_partner = subparsers.add_parser(
-        "partner", help="solve for the polarization completing an orthogonal pair"
-    )
+    p_partner = add_command("partner", "solve for the polarization completing an orthogonal pair")
     p_partner.add_argument("a", help="first half of the fixed pair")
     p_partner.add_argument("b", help="second half of the fixed pair")
     p_partner.add_argument("c", help="chosen half of the partner pair")
     p_partner.add_argument(
-        "--globe",
-        action="store_true",
-        help="interpret inputs as globe places or 'lat,lon'",
+        "--globe", action="store_true", help="interpret inputs as globe places or 'lat,lon'"
     )
-    p_partner.add_argument("--json", action="store_true")
-    p_partner.add_argument("--out", help="write the report to this path")
-    p_partner.add_argument("--save-config", help="save the resolved config as JSON")
 
-    p_sweep = subparsers.add_parser(
-        "sweep", help="scan a source or filter angle and write a rate table"
-    )
+    for sub, json_help in ((p_state, "machine-readable output"), (p_partner, None)):
+        sub.add_argument(
+            "--json", dest="output_format", action="store_const", const="json", help=json_help
+        )
+        _add_option(sub, "--out", "output_path", "write the report to this path")
+        sub.add_argument("--save-config", help="save the resolved config as JSON")
+
+    p_sweep = add_command("sweep", "scan a source or filter angle and write a rate table")
     p_sweep.add_argument("kind", choices=_KINDS)
-    p_sweep.add_argument("--z1", type=float, help="polarizer P1 angle")
-    p_sweep.add_argument("--z2", type=float, help="polarizer P2 angle")
+    _add_option(p_sweep, "--z1", "zeta1", "polarizer P1 angle", type=float)
+    _add_option(p_sweep, "--z2", "zeta2", "polarizer P2 angle", type=float)
     p_sweep.add_argument("--chi", type=float, help="pump angle (polarizer sweep)")
     p_sweep.add_argument("--dphi", type=float)
     p_sweep.add_argument("--which", choices=_WHICH, help="polarizer to scan")
     p_sweep.add_argument("--grid", help="scan grid 'start:stop:step' in degrees")
-    p_sweep.add_argument("--format", choices=_FORMATS["sweep"])
-    p_sweep.add_argument("--out", help="output path (default sweep_<kind>.<format>)")
+    p_sweep.add_argument("--format", dest="output_format", choices=_FORMATS["sweep"])
+    _add_option(p_sweep, "--out", "output_path", "output path (default sweep_<kind>.<format>)")
     p_sweep.add_argument("--seed", type=int, help="sample Poisson counts with this seed")
     p_sweep.add_argument("--duration", type=float, help="seconds per grid point")
-    p_sweep.add_argument(
-        "--drift", type=float, help="total fractional pump-power decrease"
-    )
+    p_sweep.add_argument("--drift", type=float, help="total fractional pump-power decrease")
     p_sweep.add_argument("--save-config", help="save the resolved config as JSON")
-    _add_rate_model_args(p_sweep)
+    p_sweep.add_argument("--pair-rate", type=float, help="pairs/s at the beamsplitter")
+    p_sweep.add_argument("--eta1", type=float, help="detector 1 efficiency")
+    p_sweep.add_argument("--eta2", type=float, help="detector 2 efficiency")
+    _add_option(p_sweep, "--tc", "coincidence_window", "coincidence window in seconds", type=float)
+    _add_option(p_sweep, "--bg1", "background1", "detector 1 background counts/s", type=float)
+    _add_option(p_sweep, "--bg2", "background2", "detector 2 background counts/s", type=float)
     return parser
 
 
-def _given(**values) -> dict:
-    return {key: value for key, value in values.items() if value is not None}
-
-
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """Map a parsed command line onto the JSON shape of a run, then check
-    it with RunConfig.from_json_obj like any --config file."""
-    if args.command == "state":
-        params = _given(
-            c=None if args.c is None else _parse_complex_triple(args.c),
-            chi=args.chi,
-            dphi=args.dphi,
-        )
-    elif args.command == "partner":
-        params = {"a": args.a, "b": args.b, "c": args.c, "globe": args.globe}
-    else:
-        params = _given(
-            kind=args.kind,
-            dphi=args.dphi,
-            duration=args.duration,
-            drift=args.drift,
-            grid=_parse_grid(args.grid) if args.grid else None,
-        )
-        if args.kind == "chi":
-            params.update(_given(zeta1=args.z1, zeta2=args.z2))
-        else:
-            # the fixed polarizer is P2 unless --which P2 scans it
-            params.update(
-                _given(
-                    chi=args.chi,
-                    which=args.which,
-                    fixed_zeta=args.z1 if args.which == "P2" else args.z2,
-                )
-            )
-    obj = {"command": args.command, "params": params, "output_path": args.out}
+    """Sort a parsed command line by the schema's tables onto the JSON shape
+    of a run, then check it with RunConfig.from_json_obj like any --config
+    file."""
+    obj = {"params": {}, "rate_model": {}}
+    for key, value in vars(args).items():
+        if key in _TOP:
+            obj[key] = value
+        elif key in _RATE_MODEL:
+            obj["rate_model"][key] = value
+        elif key not in ("config", "save_config"):
+            obj["params"][key] = value
+    params = obj["params"]
+    if args.command == "state" and "c" in params:
+        params["c"] = _parse_complex_triple(params["c"])
+    grid = params.pop("grid", None)
+    if grid:  # an empty --grid keeps the default grid
+        params["grid"] = _parse_grid(grid)
     if args.command == "sweep":
-        obj.update(_given(output_format=args.format, seed=args.seed))
-        obj["rate_model"] = _given(
-            pair_rate=args.pair_rate,
-            eta1=args.eta1,
-            eta2=args.eta2,
-            coincidence_window=args.tc,
-            background1=args.bg1,
-            background2=args.bg2,
-        )
-    elif args.json:
-        obj["output_format"] = "json"
+        ignored = ("chi", "which") if params["kind"] == "chi" else ("zeta1", "zeta2")
+        dropped = {key: params.pop(key) for key in ignored if key in params}
+        # a polarizer sweep holds P2 at --z2, unless --which P2 scans it
+        fixed = dropped.get("zeta1" if params.get("which") == "P2" else "zeta2")
+        if fixed is not None:
+            params["fixed_zeta"] = fixed
     return RunConfig.from_json_obj(obj)
 
 

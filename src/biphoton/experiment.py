@@ -33,7 +33,7 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .polarization import JonesVector, _abs2, _stokes
+from .polarization import JonesVector, _abs2, _require_finite, _stokes
 from .qutrit import BiphotonQutrit, _pair_modes, _pair_stokes
 
 if TYPE_CHECKING:  # numpy is imported only by the functions that build arrays
@@ -76,10 +76,8 @@ class ZeroSinglesError(ValueError):
     """g2 is undefined when a singles rate vanishes."""
 
 
-def _require_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+# why g2 comes out inf or nan when the singles are not zero
+_G2_OUT_OF_RANGE = "the rate model's scales take the rates or g2 beyond the float range"
 
 
 def _write_atomic(path, text: str) -> None:
@@ -284,7 +282,13 @@ def g2(
     r1, r2, rc = _state_rates(state, f1, f2, m)
     if r1 <= 0.0 or r2 <= 0.0:
         raise ZeroSinglesError("g2 undefined: a singles rate is zero")
-    return _g2(r1, r2, rc, m.coincidence_window)
+    try:
+        value = _g2(r1, r2, rc, m.coincidence_window)
+    except ZeroDivisionError:  # the accidentals fall below the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"g2 is not finite: {_G2_OUT_OF_RANGE}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,19 +395,29 @@ def _check_sampling(duration: float, drift: float) -> None:
 
 
 def _sweep_result(
-    name: str, grid: np.ndarray, rates, m: RateModel, seed, duration: float, drift: float
+    name: str, grid: np.ndarray, modes, m: RateModel, seed, duration: float, drift: float
 ) -> SweepResult:
+    """The ideal table of the pair and filter modes `modes` (the arguments of
+    _rates before m) over grid, sampled when seed is given."""
     import numpy as np
 
     # checked with or without a seed, so an unused bad value is not ignored
     _check_sampling(duration, drift)
-    r1, r2, rc = (np.broadcast_to(column, grid.shape).copy() for column in rates)
+    # scales beyond the float range give inf or nan here, rejected below
+    with np.errstate(all="ignore"):
+        rates = _rates(*modes, m)
+        r1, r2, rc = (np.broadcast_to(column, grid.shape).copy() for column in rates)
+        g = _g2(r1, r2, rc, m.coincidence_window)
     zero = np.flatnonzero((r1 <= 0.0) | (r2 <= 0.0))
     if zero.size:
         raise ZeroSinglesError(
             f"g2 undefined at {name} = {grid[zero[0]]:.4f} deg: a singles rate is zero"
         )
-    g = _g2(r1, r2, rc, m.coincidence_window)
+    bad = np.flatnonzero(~np.isfinite(g))
+    if bad.size:
+        raise ValueError(
+            f"g2 is not finite at {name} = {grid[bad[0]]:.4f} deg: {_G2_OUT_OF_RANGE}"
+        )
     result = SweepResult(name, grid, r1, r2, rc, g, m.coincidence_window)
     if seed is not None:
         result = simulate_counts(result, duration, seed, drift)
@@ -433,8 +447,8 @@ def sweep_chi(
     amplitudes = _source_amplitudes(np.sin(two_chi), np.cos(two_chi), delta_phi)
     f1 = _filter_mode(FilterSetting(zeta1, zeta1))
     f2 = _filter_mode(FilterSetting(zeta2, zeta2))
-    rates = _rates(*amplitudes, *f1, *f2, m)
-    return _sweep_result("chi", grid, rates, m, seed, duration_per_point, pump_drift)
+    modes = (*amplitudes, *f1, *f2)
+    return _sweep_result("chi", grid, modes, m, seed, duration_per_point, pump_drift)
 
 
 def sweep_filter(
@@ -464,8 +478,8 @@ def sweep_filter(
         f1, f2, name = scanned, fixed, "zeta1"
     else:
         f1, f2, name = fixed, scanned, "zeta2"
-    rates = _rates(state.c1, state.c2, state.c3, *f1, *f2, m)
-    return _sweep_result(name, grid, rates, m, seed, duration_per_point, pump_drift)
+    modes = (state.c1, state.c2, state.c3, *f1, *f2)
+    return _sweep_result(name, grid, modes, m, seed, duration_per_point, pump_drift)
 
 
 def simulate_counts(

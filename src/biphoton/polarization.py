@@ -88,11 +88,10 @@ def _stokes(h, v):
     return _abs2(h) - _abs2(v), 2.0 * cross.real, 2.0 * cross.imag
 
 
-def _finite_angle(name: str, angle) -> float:
-    angle = float(angle)
-    if not math.isfinite(angle):
-        raise ValueError(f"{name} must be finite, got {angle}")
-    return angle
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _wrap_angle(angle: float) -> float:
@@ -152,7 +151,9 @@ class PoincarePoint:
         theta = float(self.theta)
         if not 0.0 <= theta <= 180.0:
             raise ValueError(f"theta must be in [0, 180] degrees, got {theta}")
-        phi = _wrap_angle(_finite_angle("phi", self.phi))
+        phi = float(self.phi)
+        _require_finite(phi=phi)
+        phi = _wrap_angle(phi)
         if theta <= _POLE_TOL or theta >= 180.0 - _POLE_TOL:
             phi = 0.0
         object.__setattr__(self, "theta", theta)
@@ -214,9 +215,10 @@ class GlobePoint:
         lat = float(self.latitude)
         if not -90.0 <= lat <= 90.0:
             raise ValueError(f"latitude must be in [-90, 90] degrees, got {lat}")
+        lon = float(self.longitude)
+        _require_finite(longitude=lon)
         object.__setattr__(self, "latitude", lat)
-        lon = _wrap_angle(_finite_angle("longitude", self.longitude))
-        object.__setattr__(self, "longitude", lon)
+        object.__setattr__(self, "longitude", _wrap_angle(lon))
 
     def to_json(self) -> dict:
         return {"latitude": self.latitude, "longitude": self.longitude}

@@ -187,7 +187,9 @@ def factor_qutrit(s: BiphotonQutrit) -> PairDecomposition:
 
     The Jones ratios (beta : alpha) of the halves solve the homogeneous
     quadratic c1 beta^2 - sqrt(2) c2 alpha beta + c3 alpha^2 = 0.  Every
-    qutrit factorizes; coincident halves come back as two equal points.
+    qutrit factorizes.  Coincident halves come back as two points up to
+    about 1e-5 deg apart: their discriminant is zero only up to round-off
+    in the stored amplitudes, and the split grows as its square root.
     """
     roots = _projective_quadratic_roots(s.c1, -_SQRT2 * s.c2, s.c3)
     points = [poincare_from_jones(JonesVector(alpha, beta)) for alpha, beta in roots]
@@ -254,6 +256,10 @@ def polarization_degree(s: BiphotonQutrit) -> float:
 
 
 def subtense_angle(s: BiphotonQutrit) -> float:
-    """Great-circle angle in degrees between the qutrit's two halves."""
+    """Great-circle angle in degrees between the qutrit's two halves.
+
+    Coincident halves read up to about 1e-5 deg, not 0: sigma grows as the
+    square root of the round-off discriminant (see factor_qutrit).
+    """
     pair = factor_qutrit(s)
     return sphere_angle(pair.p, pair.q)

@@ -239,6 +239,22 @@ def test_sweep_bad_input_writes_no_file(tmp_path, capsys, bad):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [["--pair-rate", "1e308", "--eta1", "1", "--eta2", "1"], ["--tc", "1e-320"]],
+    ids=["accidentals-overflow", "window-subnormal"],
+)
+def test_sweep_g2_beyond_the_float_range_exits_2(tmp_path, capsys, monkeypatch, bad):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("BIPHOTON_OUTDIR", str(tmp_path))
+    argv = ["sweep", "chi", *bad, "--grid", "0:90:10", "--save-config", "c.json"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: g2 is not finite") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_with_every_g2_nan_writes_its_file(tmp_path, capsys):
     out = tmp_path / "e.csv"
     argv = ["sweep", "chi", "--grid", "0:90:10", "--pair-rate", "1e-3", "--seed", "1"]
@@ -533,3 +549,89 @@ def test_config_defaults_match_the_command_line(tmp_path, capsys, monkeypatch):
     ):
         expected = cli.config_from_args(cli.build_parser().parse_args(argv))
         assert RunConfig.from_json_obj(obj) == expected
+
+
+def _config_of(argv: list[str]) -> dict:
+    return cli.config_from_args(cli.build_parser().parse_args(argv)).to_json_obj()
+
+
+_POLARIZER = ["sweep", "polarizer", "--chi", "30"]
+
+
+# argv, then the dotted config key the last option sets and its value
+OPTION_KEYS = [
+    (["state", "--chi", "30"], "params.chi", 30.0),
+    (["state", "--chi", "30", "--dphi", "90"], "params.dphi", 90.0),
+    (["state", "--c", "1,0,1j"], "params.c", [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]),
+    (["state", "--chi", "30", "--json"], "output_format", "json"),
+    (["state", "--chi", "30", "--out", "r.txt"], "output_path", "r.txt"),
+    (["partner", "H", "V", "D"], "params.a", "H"),
+    (["partner", "H", "V", "D"], "params.b", "V"),
+    (["partner", "H", "V", "D"], "params.c", "D"),
+    (["partner", "moscow", "turin", "bounty", "--globe"], "params.globe", True),
+    (["partner", "H", "V", "D", "--json"], "output_format", "json"),
+    (["partner", "H", "V", "D", "--out", "p.txt"], "output_path", "p.txt"),
+    (["sweep", "chi"], "params.kind", "chi"),
+    (["sweep", "chi", "--z1", "10"], "params.zeta1", 10.0),
+    (["sweep", "chi", "--z2", "20"], "params.zeta2", 20.0),
+    (["sweep", "chi", "--dphi", "90"], "params.dphi", 90.0),
+    (["sweep", "chi", "--grid", "0:2:1"], "params.grid", [0.0, 1.0, 2.0]),
+    (["sweep", "chi", "--format", "json"], "output_format", "json"),
+    (["sweep", "chi", "--out", "s.csv"], "output_path", "s.csv"),
+    (["sweep", "chi", "--seed", "7"], "seed", 7),
+    (["sweep", "chi", "--duration", "2"], "params.duration", 2.0),
+    (["sweep", "chi", "--drift", "0.1"], "params.drift", 0.1),
+    (["sweep", "chi", "--pair-rate", "5e3"], "rate_model.pair_rate", 5e3),
+    (["sweep", "chi", "--eta1", "0.2"], "rate_model.eta1", 0.2),
+    (["sweep", "chi", "--eta2", "0.3"], "rate_model.eta2", 0.3),
+    (["sweep", "chi", "--tc", "1e-8"], "rate_model.coincidence_window", 1e-8),
+    (["sweep", "chi", "--bg1", "4"], "rate_model.background1", 4.0),
+    (["sweep", "chi", "--bg2", "5"], "rate_model.background2", 5.0),
+    (_POLARIZER, "params.chi", 30.0),
+    ([*_POLARIZER, "--which", "P2"], "params.which", "P2"),
+    ([*_POLARIZER, "--z2", "20"], "params.fixed_zeta", 20.0),
+    ([*_POLARIZER, "--which", "P2", "--z1", "10"], "params.fixed_zeta", 10.0),
+]
+
+# argv with options that do not enter the config, and the argv without them
+OPTIONS_LEFT_OUT = [
+    (["sweep", "chi", "--chi", "30", "--which", "P2"], ["sweep", "chi"]),
+    ([*_POLARIZER, "--z1", "10", "--z2", "20"], [*_POLARIZER, "--z2", "20"]),
+    ([*_POLARIZER, "--which", "P2", "--z1", "10", "--z2", "20"],
+     [*_POLARIZER, "--which", "P2", "--z1", "10"]),
+    (["state", "--chi", "30", "--save-config", "c.json"], ["state", "--chi", "30"]),
+    (["partner", "H", "V", "D", "--save-config", "c.json"], ["partner", "H", "V", "D"]),
+    (["sweep", "chi", "--save-config", "c.json"], ["sweep", "chi"]),
+]
+
+
+@pytest.mark.parametrize("argv, key, value", OPTION_KEYS)
+def test_every_option_lands_on_its_config_key(argv, key, value):
+    obj = _config_of(argv)
+    for part in key.split("."):
+        obj = obj[part]
+    assert obj == value and type(obj) is type(value)
+
+
+@pytest.mark.parametrize("argv, same_as", OPTIONS_LEFT_OUT)
+def test_options_outside_the_run_leave_the_config_alone(argv, same_as):
+    assert _config_of(argv) == _config_of(same_as)
+
+
+def test_the_option_tables_cover_every_option():
+    subparsers = next(
+        action for action in cli.build_parser()._actions if action.dest == "command"
+    )
+    options = {
+        (command, option)
+        for command, sub in subparsers.choices.items()
+        for action in sub._actions
+        for option in action.option_strings
+        if option not in ("-h", "--help")
+    }
+    tested = {
+        (argv[0], option)
+        for argv in [case[0] for case in OPTION_KEYS + OPTIONS_LEFT_OUT]
+        for option in argv
+    }
+    assert options <= tested, sorted(options - tested)

@@ -312,6 +312,33 @@ def test_g2_zero_singles_error():
         g2(hh, linear_filter(90.0), LIN60, M)
 
 
+# rate models whose accidentals R1 R2 T_c overflow, or underflow to 0 or a subnormal
+OUT_OF_RANGE_MODELS = [
+    RateModel(pair_rate=1e308, eta1=1.0, eta2=1.0),
+    RateModel(pair_rate=1.0, coincidence_window=5e-324),
+    RateModel(coincidence_window=1e-320),
+]
+
+
+@pytest.mark.parametrize("m", OUT_OF_RANGE_MODELS)
+def test_g2_beyond_the_float_range_is_rejected(m):
+    state = source_state(SourceSetting(10.0, 180.0))
+    with pytest.raises(ValueError, match="g2 is not finite"):
+        g2(state, LIN45, LIN60, m)
+
+
+@pytest.mark.parametrize("m", OUT_OF_RANGE_MODELS)
+def test_sweep_g2_beyond_the_float_range_is_rejected_before_sampling(m, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr("biphoton.experiment.simulate_counts", no_sampling)
+    with pytest.raises(ValueError, match=r"g2 is not finite at chi = 0\.0000 deg"):
+        sweep_chi(45.0, 60.0, m=m, chi_grid=[0.0, 30.0, 60.0], seed=1)
+    with pytest.raises(ValueError, match=r"g2 is not finite at zeta1 = 0\.0000 deg"):
+        sweep_filter(10.0, m=m, zeta_grid=[0.0, 30.0], seed=1)
+
+
 # ---------------------------------------------------------------- sweeps
 
 

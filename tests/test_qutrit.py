@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biphoton import (
     NAMED_STATES,
@@ -273,6 +275,15 @@ def test_degree_from_subtense_closed_form():
         half = math.cos(math.radians(subtense_angle(s)) / 2.0)
         law = 2.0 * half / (1.0 + half ** 2)
         assert abs(polarization_degree(s) - law) < 1e-9
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.floats(0.0, 180.0), st.floats(-180.0, 180.0))
+def test_coincident_halves_read_sigma_below_1e_5_deg(theta, phi):
+    # sigma is the square root of a round-off discriminant here, so it is
+    # not 0 but stays under about 1e-5 deg
+    p = PoincarePoint(theta, phi)
+    assert subtense_angle(qutrit_from_pair(p, p)) <= 1e-5
 
 
 def test_subtense_examples():
