@@ -564,9 +564,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     params = obj["params"]
     if args.command == "state" and "c" in params:
         params["c"] = _parse_complex_triple(params["c"])
-    grid = params.pop("grid", None)
-    if grid:  # an empty --grid keeps the default grid
-        params["grid"] = _parse_grid(grid)
+    if "grid" in params:
+        params["grid"] = _parse_grid(params["grid"])
     if args.command == "sweep":
         ignored = ("chi", "which") if params["kind"] == "chi" else ("zeta1", "zeta2")
         dropped = {key: params.pop(key) for key in ignored if key in params}

@@ -61,7 +61,6 @@ __all__ = [
 DEFAULT_GRID_STEP = 0.5
 
 _CSV_HEADER = "param,R1,R2,Rc,g2\n"
-_CSV_ROW = "%.6f,%.8e,%.8e,%.8e,%.8e\n"
 # One row of json.dumps(..., indent=2, sort_keys=True): keys in sorted order.
 _JSON_ROW = (
     '    {\n      "R1": %s,\n      "R2": %s,\n      "Rc": %s,\n'
@@ -126,7 +125,7 @@ class RateModel:
     """Absolute-scale knobs of the counting model.
 
     pair_rate: photon pairs per second arriving at the beamsplitter.
-    eta1, eta2: detector efficiencies.
+    eta1, eta2: detector efficiencies, in [0, 1].
     coincidence_window: circuit resolution T_c in seconds.
     background1, background2: dark/stray counts per second per detector.
     """
@@ -139,9 +138,12 @@ class RateModel:
     background2: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("pair_rate", "eta1", "eta2", "background1", "background2"):
+        for name in ("pair_rate", "background1", "background2"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative")
+        for name in ("eta1", "eta2"):  # detection probabilities
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         if not 0.0 < self.coincidence_window < math.inf:
             raise ValueError("coincidence_window must be finite and positive")
 
@@ -321,10 +323,11 @@ class SweepResult:
         return float(self.param[i]), float(self.g2[i])
 
     def to_csv(self) -> str:
-        import numpy as np
+        """The header line, then "%.6f,%.8e,%.8e,%.8e,%.8e\\n" % row for each
+        row, byte for byte (built from whole columns, see _digits)."""
+        from ._digits import csv_rows
 
-        table = np.column_stack((self.param, self.r1, self.r2, self.rc, self.g2))
-        return _CSV_HEADER + (_CSV_ROW * len(table)) % tuple(table.ravel().tolist())
+        return _CSV_HEADER + csv_rows(self.param, self.r1, self.r2, self.rc, self.g2)
 
     def to_json_obj(self) -> dict:
         def column(values: np.ndarray) -> list:

@@ -51,6 +51,9 @@ __all__ = [
 # Components smaller than this are treated as zero when picking the
 # phase-reference component; the phase of a tinier component is noise.
 _PHASE_REF_TOL = 1e-12
+# About 9 ulp: dividing by the norm and rotating the phase leave the norm
+# within about 4 ulp of 1.
+_UNIT_TOL = 2e-15
 _POLE_TOL = 1e-12
 
 
@@ -65,6 +68,10 @@ def _canonical(amplitudes, what: str) -> list[complex]:
     The first component of magnitude above _PHASE_REF_TOL is made real and
     >= 0.  JonesVector and BiphotonQutrit are both built through here; `what`
     names the type in the error raised for a zero or non-finite input.
+
+    The output is a fixed point, bit for bit: a reference that is already
+    real and >= 0 is not rotated, and then a norm within _UNIT_TOL of 1 is
+    not divided out, so passing the result back in returns it unchanged.
     """
     norm = math.hypot(*map(abs, amplitudes))
     if not norm < math.inf:
@@ -76,9 +83,14 @@ def _canonical(amplitudes, what: str) -> list[complex]:
         r = abs(ref)
         if r > _PHASE_REF_TOL:
             break
-    phase = (ref / r).conjugate()
-    unit = [complex(z) / norm * phase for z in amplitudes]
-    unit[i] = complex(r)
+    if ref.imag or ref.real < 0.0:
+        phase = (ref / r).conjugate()
+        unit = [complex(z) / norm * phase for z in amplitudes]
+        unit[i] = complex(r)
+    elif abs(norm - 1.0) > _UNIT_TOL:
+        unit = [complex(z) / norm for z in amplitudes]
+    else:
+        unit = [complex(z) for z in amplitudes]
     return unit
 
 

@@ -196,6 +196,9 @@ def test_sweep_bad_grid(capsys):
     assert main(["sweep", "chi", "--grid", "nonsense"]) == EXIT_USAGE
     assert main(["sweep", "chi", "--grid", "0:inf:1"]) == EXIT_USAGE
     assert main(["sweep", "chi", "--grid", "0:90:nan"]) == EXIT_USAGE
+    capsys.readouterr()
+    assert main(["sweep", "chi", "--grid", ""]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: grid must be 'start:stop:step', got ''\n"
 
 
 def test_sweep_grid_over_the_point_cap_is_rejected_unbuilt(tmp_path, capsys):
@@ -227,9 +230,11 @@ def test_sweep_unwritable_path(capsys):
         ["--seed", "1", "--duration", "inf"],
         ["--drift", "1.5"],
         ["--duration", "inf"],
+        ["--eta1", "10", "--eta2", "10"],
+        ["--grid", ""],
     ],
     ids=["z1-nan", "z2-inf", "dphi-nan", "tc-nan", "pair-rate-inf", "drift", "duration",
-         "drift-unseeded", "duration-unseeded"],
+         "drift-unseeded", "duration-unseeded", "eta-above-1", "grid-empty"],
 )
 def test_sweep_bad_input_writes_no_file(tmp_path, capsys, bad):
     out = tmp_path / "x.csv"

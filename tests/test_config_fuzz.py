@@ -102,7 +102,7 @@ def configs(draw):
 config = st.one_of(configs(), configs(), configs(), st.text(max_size=4), junk)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@settings(max_examples=300)
 @given(config)
 def test_any_config_exits_0_2_or_3_and_exit_2_writes_nothing(obj):
     with tempfile.TemporaryDirectory() as root:

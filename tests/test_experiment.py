@@ -1,10 +1,13 @@
 """Source, filters, counting rates, sweeps and synthetic counts."""
+import hashlib
 import json
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biphoton import (
     NAMED_STATES,
@@ -464,6 +467,17 @@ def _table(param, r1, r2, rc, g, duration=None) -> SweepResult:
 
 EDGE = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
         2.2250738585072014e-308, 0.1, 1 / 3, 123456789.0, 1e16, 1e22, 1e-7]
+# '%.8e' rounding edges: a scaled value on a half-integer, on the decade
+# edge 999 999 999.5 or on an exact tie (100000000.5 rounds half-even), the
+# ends of the exact powers of ten, subnormals, the largest doubles, -0.0 and
+# the non-finite values
+SCIENTIFIC_PROBES = [9.999999995, 99999999.95, 100000000.5, 999999999.5, 9.999999995e-5,
+                     1e22, 1e23, 5e-324, -5e-324, 1e308, -1e308, -0.0, math.nan, math.inf,
+                     -math.inf]
+# '%.6f' edges: half a unit of the 6th decimal, a carry into the integer
+# digits, and values beyond 3 integer digits
+FIXED_PROBES = [0.0000005, -0.0000005, 89.9999995, 1e15, 1e300, -0.0, -1e15, 999.9999995,
+                0.0000015, -89.9999995, 999.9999, 100.0000005, 0.0, -1e300, 1e-300]
 
 
 @pytest.mark.parametrize(
@@ -476,16 +490,50 @@ EDGE = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308
         _table(np.linspace(-90.0, 90.0, 7), [0, 1, 2, 3, 40, 500, 6000], [7.0] * 7,
                [1e6, 0, 3, 0, 9, 11, 2], [1.0, math.nan, 2.5, 1e300, math.inf, 0.0, -0.0],
                duration=2),
+        _table(FIXED_PROBES, SCIENTIFIC_PROBES, SCIENTIFIC_PROBES[::-1],
+               np.roll(SCIENTIFIC_PROBES, 5), np.roll(SCIENTIFIC_PROBES, 10)),
         sweep_chi(45.0, 60.0, 180.0, M, chi_grid=np.linspace(0.0, 90.0, 37)),
         sweep_filter(30.0, 180.0, "P2", 45.0, M, seed=3, duration_per_point=0.5,
                      pump_drift=0.2),
     ],
-    ids=["zero-rows", "one-row", "nan-g2", "edge-values", "integer-counts", "ideal-chi",
-         "seeded-filter"],
+    ids=["zero-rows", "one-row", "nan-g2", "edge-values", "integer-counts", "rounding-edges",
+         "ideal-chi", "seeded-filter"],
 )
 def test_column_writers_match_reference_layout(result):
     assert result.to_csv() == _reference_csv(result)
     assert result.to_json() == json.dumps(result.to_json_obj(), indent=2, sort_keys=True) + "\n"
+
+
+# floats next to a rounding edge: a 10th significant digit of 5 (ties and
+# near-ties of the 9-digit rounding) and a few ulps around a power of ten
+EDGY = st.one_of(
+    st.builds(lambda m, e: (m + 0.5) * 10.0**e, st.integers(10**8, 10**9 - 1),
+              st.integers(-20, 20)),
+    st.builds(lambda k, j: 10.0**k * (1.0 + j * 2.0**-52), st.integers(-16, 32),
+              st.integers(-4, 4)),
+)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(*[st.floats() | EDGY] * 5), max_size=50))
+def test_csv_matches_printf_on_any_float_columns(rows):
+    result = _table(*np.array(rows, dtype=float).reshape(-1, 5).T)
+    assert result.to_csv() == _reference_csv(result)
+
+
+@pytest.mark.parametrize("seed", [None, 41])
+@pytest.mark.parametrize("kind", ["chi", "P1", "P2"])
+def test_csv_of_dense_sweeps_matches_printf(kind, seed):
+    rng = np.random.default_rng(["chi", "P1", "P2"].index(kind))
+    zeta1, zeta2, chi = rng.uniform(-90.0, 90.0, 3)
+    grid = np.linspace(0.0, 90.0, 18001)
+    sampling = dict(seed=seed, duration_per_point=2.0, pump_drift=0.1)
+    if kind == "chi":
+        result = sweep_chi(zeta1, zeta2, 180.0, M, chi_grid=grid, **sampling)
+    else:
+        result = sweep_filter(chi, 180.0, kind, zeta2, M, zeta_grid=grid, **sampling)
+    assert (hashlib.sha256(result.to_csv().encode()).hexdigest()
+            == hashlib.sha256(_reference_csv(result).encode()).hexdigest())
 
 
 def test_json_round_trip_schema():
@@ -632,6 +680,15 @@ def test_rate_model_validation():
         RateModel(pair_rate=-1.0)
     with pytest.raises(ValueError):
         RateModel(coincidence_window=0.0)
+
+
+@pytest.mark.parametrize("name", ["eta1", "eta2"])
+def test_rate_model_efficiencies_are_probabilities(name):
+    for bad in (1.0 + 1e-12, 10.0, -0.1):
+        with pytest.raises(ValueError, match=rf"{name} must be in \[0, 1\], got "):
+            RateModel(**{name: bad})
+    for edge in (0.0, 1.0):
+        assert getattr(RateModel(**{name: edge}), name) == edge
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

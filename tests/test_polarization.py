@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from biphoton import (
     CITIES,
@@ -21,6 +23,7 @@ from biphoton import (
     stokes_from_jones,
     waveplate,
 )
+from biphoton.polarization import _canonical
 from oracles import great_circle_deg, random_jones, random_point
 
 RT2 = math.sqrt(2.0)
@@ -53,6 +56,19 @@ def test_jones_vector_non_finite_rejected(h, v):
 def test_jones_vector_canonical_phase_when_h_zero():
     j = JonesVector(0.0, -1.0j)
     assert j.v.real > 0.0 and abs(j.v.imag) < 1e-12
+
+
+def _bits(values) -> list[str]:
+    return [x.hex() for z in values for x in (z.real, z.imag)]
+
+
+@settings(max_examples=200)
+@given(st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False), min_size=2, max_size=3))
+def test_canonical_is_a_fixed_point_bit_for_bit(amplitudes):
+    # JonesVector and BiphotonQutrit rebuilt from their own fields equal themselves
+    assume(math.hypot(*map(abs, amplitudes)) >= 1e-150)
+    unit = _canonical(amplitudes, "vector")
+    assert _bits(_canonical(unit, "vector")) == _bits(unit)
 
 
 def test_poincare_point_validation_and_wrapping():

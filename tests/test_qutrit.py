@@ -28,6 +28,7 @@ from biphoton import (
     stokes_from_jones,
     subtense_angle,
 )
+from biphoton.qutrit import _pair_modes
 from oracles import (
     fock_amplitude,
     ladder_stokes_operators,
@@ -277,7 +278,16 @@ def test_degree_from_subtense_closed_form():
         assert abs(polarization_degree(s) - law) < 1e-9
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@settings(max_examples=200)
+@given(st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False), min_size=4, max_size=4))
+def test_pair_modes_bitwise_symmetric(modes):
+    ah, av, bh, bv = modes
+    swapped = _pair_modes(bh, bv, ah, av)
+    for x, y in zip(_pair_modes(ah, av, bh, bv), swapped):
+        assert (x.real.hex(), x.imag.hex()) == (y.real.hex(), y.imag.hex())
+
+
+@settings(max_examples=300)
 @given(st.floats(0.0, 180.0), st.floats(-180.0, 180.0))
 def test_coincident_halves_read_sigma_below_1e_5_deg(theta, phi):
     # sigma is the square root of a round-off discriminant here, so it is
