@@ -61,14 +61,6 @@ __all__ = [
 DEFAULT_GRID_STEP = 0.5
 
 _CSV_HEADER = "param,R1,R2,Rc,g2\n"
-# One row of json.dumps(..., indent=2, sort_keys=True): keys in sorted order.
-_JSON_ROW = (
-    '    {\n      "R1": %s,\n      "R2": %s,\n      "Rc": %s,\n'
-    '      "g2": %s,\n      "param": %s\n    }'
-)
-# json's spelling of the floats repr writes as nan, inf and -inf (NaN reads
-# null because to_json_obj maps it to None).
-_JSON_NON_FINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 class ZeroSinglesError(ValueError):
@@ -353,22 +345,18 @@ class SweepResult:
         """The text of json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\\n".
 
         Built from whole columns: every number is its float repr, as json
-        writes it, filled into one row template.
+        writes it (see _digits).
         """
-        import numpy as np
-
         head = (
             '{\n  "coincidence_window": %s,\n  "duration": %s,\n  "param_name": %s,\n  "rows": '
             % tuple(map(json.dumps, (self.coincidence_window, self.duration, self.param_name)))
         )
         if not len(self):
             return head + "[]\n}\n"
-        table = np.column_stack((self.r1, self.r2, self.rc, self.g2, self.param))
-        tokens = list(map(repr, table.ravel().tolist()))
-        if not np.isfinite(table).all():
-            tokens = [_JSON_NON_FINITE.get(t, t) for t in tokens]
-        rows = ",\n".join([_JSON_ROW] * len(table)) % tuple(tokens)
-        return head + "[\n" + rows + "\n  ]\n}\n"
+        from ._digits import json_rows
+
+        rows = json_rows(self.r1, self.r2, self.rc, self.g2, self.param)
+        return "".join((head, "[\n", rows, "\n  ]\n}\n"))
 
     def write(self, path, fmt: str = "csv") -> None:
         """Write the CSV or JSON text to path atomically (see _write_atomic)."""

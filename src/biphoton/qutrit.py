@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_SAME_THETA = 1e-9  # degrees; see PairDecomposition
 
 
 @dataclass(frozen=True)
@@ -124,19 +125,30 @@ def _arg_diff_degrees(x: complex, y: complex) -> float:
 
 @dataclass(frozen=True)
 class PairDecomposition:
-    """Unordered pair of sphere points, stored sorted on (theta, phi)."""
+    """Unordered pair of sphere points, stored sorted on theta, then phi.
+
+    Thetas within _SAME_THETA degrees count as equal: the halves of a
+    source state are mirror images whose thetas differ by round-off only,
+    so their order is decided by phi, not by the last bit of theta.
+    """
 
     p: PoincarePoint
     q: PoincarePoint
 
     def __post_init__(self) -> None:
-        if (self.q.theta, self.q.phi) < (self.p.theta, self.p.phi):
+        if _sorts_before(self.q, self.p):
             p, q = self.q, self.p
             object.__setattr__(self, "p", p)
             object.__setattr__(self, "q", q)
 
     def jones(self) -> tuple[JonesVector, JonesVector]:
         return jones_from_poincare(self.p), jones_from_poincare(self.q)
+
+
+def _sorts_before(a: PoincarePoint, b: PoincarePoint) -> bool:
+    if abs(a.theta - b.theta) > _SAME_THETA:
+        return a.theta < b.theta
+    return (a.phi, a.theta) < (b.phi, b.theta)
 
 
 def _pair_modes(ah, av, bh, bv):

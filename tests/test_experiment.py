@@ -478,6 +478,14 @@ SCIENTIFIC_PROBES = [9.999999995, 99999999.95, 100000000.5, 999999999.5, 9.99999
 # digits, and values beyond 3 integer digits
 FIXED_PROBES = [0.0000005, -0.0000005, 89.9999995, 1e15, 1e300, -0.0, -1e15, 999.9999995,
                 0.0000015, -89.9999995, 999.9999, 100.0000005, 0.0, -1e300, 1e-300]
+# repr edges: the ends of its positional range [1e-4, 1e16), integers around
+# 2**53, short and long shortest digits, powers of two (lopsided rounding
+# intervals; 2**-13 is the smallest in the positional range), exact ties
+# between two shortest candidates (...5283.75, ...908.96875), a fraction of
+# 20 decimals, the smallest subnormal and -0.0
+JSON_PROBES = [1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0, 0.1, 1 / 3, 2.0**53,
+               2.0**53 + 2, 0.5, 1024.0, 2.0**-13, 2.0**-14, 920880524995283.8, 850698417908.9688,
+               0.00012345678901234567, 5e-324, -0.0]
 
 
 @pytest.mark.parametrize(
@@ -492,12 +500,14 @@ FIXED_PROBES = [0.0000005, -0.0000005, 89.9999995, 1e15, 1e300, -0.0, -1e15, 999
                duration=2),
         _table(FIXED_PROBES, SCIENTIFIC_PROBES, SCIENTIFIC_PROBES[::-1],
                np.roll(SCIENTIFIC_PROBES, 5), np.roll(SCIENTIFIC_PROBES, 10)),
+        _table(JSON_PROBES, JSON_PROBES[::-1], np.roll(JSON_PROBES, 3), np.roll(JSON_PROBES, 6),
+               np.roll(JSON_PROBES, 9)),
         sweep_chi(45.0, 60.0, 180.0, M, chi_grid=np.linspace(0.0, 90.0, 37)),
         sweep_filter(30.0, 180.0, "P2", 45.0, M, seed=3, duration_per_point=0.5,
                      pump_drift=0.2),
     ],
     ids=["zero-rows", "one-row", "nan-g2", "edge-values", "integer-counts", "rounding-edges",
-         "ideal-chi", "seeded-filter"],
+         "json-edges", "ideal-chi", "seeded-filter"],
 )
 def test_column_writers_match_reference_layout(result):
     assert result.to_csv() == _reference_csv(result)
@@ -521,19 +531,73 @@ def test_csv_matches_printf_on_any_float_columns(rows):
     assert result.to_csv() == _reference_csv(result)
 
 
-@pytest.mark.parametrize("seed", [None, 41])
-@pytest.mark.parametrize("kind", ["chi", "P1", "P2"])
-def test_csv_of_dense_sweeps_matches_printf(kind, seed):
+def _ulps_away(x: float, n: int) -> float:
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+# doubles whose nearest 16-digit decimal lies within 1e-5 ulp of an edge of
+# their rounding interval, so 16 digits read back as them or only just not
+# (found by an exact search with fractions over random doubles)
+NEAR_EDGE_16 = [8178.506733663256, 304.955418901022, 0.022013147415561318, 5559768.2993587935,
+                8.125469364406536, 9778120.903065987, 22824615.74498838, 0.535110543252102,
+                99762.71421468475]
+# repr's edge cases: non-finite values, zeros, subnormals, integers up to and
+# beyond 2**53, powers of two, +-4 ulp around the powers of ten 1e-4 ... 1e16
+# and NEAR_EDGE_16
+REPR_EDGY = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.225073858507201e-308,
+                     *NEAR_EDGE_16]),
+    st.integers(-(2**60), 2**60).map(float),
+    st.integers(-1074, 1023).map(lambda k: math.ldexp(1.0, k)),
+    st.builds(lambda k, n: _ulps_away(float(f"1e{k}"), n), st.integers(-4, 16),
+              st.integers(-4, 4)),
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(*[st.floats() | REPR_EDGY | REPR_EDGY.map(float.__neg__)] * 5),
+                max_size=50))
+def test_json_matches_json_dumps_on_any_float_columns(rows):
+    result = _table(*np.array(rows, dtype=float).reshape(-1, 5).T)
+    text = result.to_json()
+    assert text == json.dumps(result.to_json_obj(), indent=2, sort_keys=True) + "\n"
+    back = json.loads(text)["rows"]
+    columns = {"param": result.param, "R1": result.r1, "R2": result.r2, "Rc": result.rc,
+               "g2": result.g2}
+    for name, column in columns.items():
+        want = [None if math.isnan(v) else v for v in column.tolist()]
+        assert [repr(row[name]) for row in back] == list(map(repr, want))
+
+
+def _dense_sweep(kind: str, seed) -> SweepResult:
     rng = np.random.default_rng(["chi", "P1", "P2"].index(kind))
     zeta1, zeta2, chi = rng.uniform(-90.0, 90.0, 3)
     grid = np.linspace(0.0, 90.0, 18001)
     sampling = dict(seed=seed, duration_per_point=2.0, pump_drift=0.1)
     if kind == "chi":
-        result = sweep_chi(zeta1, zeta2, 180.0, M, chi_grid=grid, **sampling)
-    else:
-        result = sweep_filter(chi, 180.0, kind, zeta2, M, zeta_grid=grid, **sampling)
-    assert (hashlib.sha256(result.to_csv().encode()).hexdigest()
-            == hashlib.sha256(_reference_csv(result).encode()).hexdigest())
+        return sweep_chi(zeta1, zeta2, 180.0, M, chi_grid=grid, **sampling)
+    return sweep_filter(chi, 180.0, kind, zeta2, M, zeta_grid=grid, **sampling)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", [None, 41])
+@pytest.mark.parametrize("kind", ["chi", "P1", "P2"])
+def test_csv_of_dense_sweeps_matches_printf(kind, seed):
+    result = _dense_sweep(kind, seed)
+    assert _sha256(result.to_csv()) == _sha256(_reference_csv(result))
+
+
+@pytest.mark.parametrize("seed", [None, 41])
+@pytest.mark.parametrize("kind", ["chi", "P1", "P2"])
+def test_json_of_dense_sweeps_matches_json_dumps(kind, seed):
+    result = _dense_sweep(kind, seed)
+    reference = json.dumps(result.to_json_obj(), indent=2, sort_keys=True) + "\n"
+    assert _sha256(result.to_json()) == _sha256(reference)
 
 
 def test_json_round_trip_schema():

@@ -1,7 +1,8 @@
 """Only the array-building code loads numpy.
 
 `import biphoton` and the state, partner and bad-input CLI runs must finish
-without it, since interpreter start-up is most of what a CLI call costs.
+without it, and without compiling the sweep-file writers (`biphoton._digits`),
+since interpreter start-up is most of what a CLI call costs.
 """
 import json
 import os
@@ -30,10 +31,12 @@ codes = [
     )
 ]
 numpy_loaded = "numpy" in sys.modules
+digits_loaded = "biphoton._digits" in sys.modules
 ops = biphoton.STOKES_OPERATORS
 print(json.dumps({
     "codes": codes,
     "numpy_loaded": numpy_loaded,
+    "digits_loaded": digits_loaded,
     "same_object": ops is biphoton.qutrit.STOKES_OPERATORS,
     "types": [type(ops).__name__] + [type(op).__name__ for op in ops],
 }))
@@ -56,5 +59,6 @@ def test_non_sweep_runs_leave_numpy_unloaded(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"] == [0, 0, 0, 0, 3, 2]
     assert result["numpy_loaded"] is False
+    assert result["digits_loaded"] is False
     assert result["same_object"] is True
     assert result["types"] == ["tuple", "ndarray", "ndarray", "ndarray"]

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from biphoton import (
     NAMED_STATES,
     BiphotonQutrit,
+    PairDecomposition,
     PoincarePoint,
     STOKES_OPERATORS,
     factor_qutrit,
@@ -149,6 +150,19 @@ def test_factor_orders_points():
     for _ in range(100):
         pair = factor_qutrit(random_qutrit(rng))
         assert (pair.p.theta, pair.p.phi) <= (pair.q.theta, pair.q.phi)
+
+
+@pytest.mark.parametrize("theta", [125.59330232577078, 90.0, 1e-3, 179.5])
+def test_mirror_halves_keep_their_order_when_theta_moves_one_ulp(theta):
+    # the halves of a source state: equal theta up to round-off, phi 180 deg apart
+    # (the first value is the theta of `state --chi 82.6003 --dphi -152.685`)
+    nudged = math.nextafter(theta, 180.0)
+    orders = set()
+    for t1, t2 in ((theta, nudged), (nudged, theta)):
+        a, b = PoincarePoint(t1, 103.6575), PoincarePoint(t2, -76.3425)
+        for pair in (PairDecomposition(a, b), PairDecomposition(b, a)):
+            orders.add((pair.p.phi, pair.q.phi))
+    assert orders == {(-76.3425, 103.6575)}
 
 
 # ---------------------------------------------------------------- amplitudes
