@@ -61,11 +61,3 @@ from .qutrit import (
 
 __version__ = "0.1.0"
 
-
-def __getattr__(name: str):
-    """Forward STOKES_OPERATORS, which qutrit builds with numpy on first access."""
-    if name == "STOKES_OPERATORS":
-        from .qutrit import STOKES_OPERATORS
-
-        return STOKES_OPERATORS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

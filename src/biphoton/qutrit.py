@@ -52,7 +52,6 @@ __all__ = [
     "stokes_expectation",
     "polarization_degree",
     "subtense_angle",
-    "STOKES_OPERATORS",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -222,26 +221,6 @@ def pair_amplitude(
 def qutrit_inner_product(x: BiphotonQutrit, y: BiphotonQutrit) -> complex:
     """<x|y> = conj(x1) y1 + conj(x2) y2 + conj(x3) y3."""
     return x.c1.conjugate() * y.c1 + x.c2.conjugate() * y.c2 + x.c3.conjugate() * y.c3
-
-
-STOKES_OPERATORS: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def __getattr__(name: str):
-    """Build STOKES_OPERATORS on first access, so importing needs no numpy."""
-    if name != "STOKES_OPERATORS":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import numpy as np
-
-    # Stokes operators in the qutrit basis (derived once from the ladder
-    # algebra of the H/V modes; the test suite re-derives them from first
-    # principles).  _pair_stokes is their expectation in closed form.
-    operators = (
-        np.diag([2.0, 0.0, -2.0]).astype(complex),
-        _SQRT2 * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex),
-        _SQRT2 * np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex),
-    )
-    return globals().setdefault("STOKES_OPERATORS", operators)
 
 
 def _pair_stokes(c1, c2, c3):

@@ -32,13 +32,10 @@ codes = [
 ]
 numpy_loaded = "numpy" in sys.modules
 digits_loaded = "biphoton._digits" in sys.modules
-ops = biphoton.STOKES_OPERATORS
 print(json.dumps({
     "codes": codes,
     "numpy_loaded": numpy_loaded,
     "digits_loaded": digits_loaded,
-    "same_object": ops is biphoton.qutrit.STOKES_OPERATORS,
-    "types": [type(ops).__name__] + [type(op).__name__ for op in ops],
 }))
 """
 
@@ -60,5 +57,3 @@ def test_non_sweep_runs_leave_numpy_unloaded(tmp_path):
     assert result["codes"] == [0, 0, 0, 0, 3, 2]
     assert result["numpy_loaded"] is False
     assert result["digits_loaded"] is False
-    assert result["same_object"] is True
-    assert result["types"] == ["tuple", "ndarray", "ndarray", "ndarray"]

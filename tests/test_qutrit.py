@@ -1,6 +1,6 @@
 """Pair-state algebra: construction, factorization, amplitudes, Stokes.
 
-The permanent amplitude and the hard-coded Stokes operators are checked
+The permanent amplitude and the closed-form Stokes expectation are checked
 against the Fock-space oracles in oracles.py.
 """
 import cmath
@@ -17,7 +17,6 @@ from biphoton import (
     BiphotonQutrit,
     PairDecomposition,
     PoincarePoint,
-    STOKES_OPERATORS,
     factor_qutrit,
     pair_amplitude,
     pair_norm,
@@ -239,11 +238,6 @@ def test_inner_product_and_isclose_match_array_forms():
 
 
 # ---------------------------------------------------------------- stokes
-
-
-def test_stokes_operators_match_ladder_derivation():
-    for hard, derived in zip(STOKES_OPERATORS, ladder_stokes_operators()):
-        assert np.allclose(hard, derived, atol=1e-14)
 
 
 def test_stokes_expectation_matches_ladder_operators():
