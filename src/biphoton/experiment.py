@@ -147,7 +147,7 @@ def _source_amplitudes(sin_2chi, cos_2chi, delta_phi: float):
 
 def source_state(setting: SourceSetting) -> BiphotonQutrit:
     """Qutrit emitted by the two-crystal source: (sin 2chi, 0, e^{i dphi} cos 2chi)."""
-    two_chi = math.radians(2.0 * setting.chi)
+    two_chi = 2.0 * math.radians(setting.chi)
     return BiphotonQutrit(
         *_source_amplitudes(math.sin(two_chi), math.cos(two_chi), setting.delta_phi)
     )
@@ -242,7 +242,7 @@ def rate_closed_form(chi, zeta1, zeta2):
     """
     import numpy as np
 
-    two_chi = np.radians(2.0 * np.asarray(chi, dtype=float))
+    two_chi = 2.0 * np.radians(np.asarray(chi, dtype=float))
     z1 = np.radians(np.asarray(zeta1, dtype=float))
     z2 = np.radians(np.asarray(zeta2, dtype=float))
     bracket = np.cos(z1) * np.cos(z2) * np.sin(two_chi) - np.sin(z1) * np.sin(z2) * np.cos(two_chi)
@@ -434,7 +434,7 @@ def sweep_chi(
 
     _require_finite(zeta1=zeta1, zeta2=zeta2, delta_phi=delta_phi)
     grid = _validate_grid("chi_grid", chi_grid)
-    two_chi = np.radians(2.0 * grid)
+    two_chi = 2.0 * np.radians(grid)
     amplitudes = _source_amplitudes(np.sin(two_chi), np.cos(two_chi), delta_phi)
     f1 = _filter_mode(FilterSetting(zeta1, zeta1))
     f2 = _filter_mode(FilterSetting(zeta2, zeta2))
@@ -495,7 +495,15 @@ def simulate_counts(
     else:
         ramp = np.ones(n)
     rates = np.column_stack((result.r1, result.r2, result.rc))
-    means = (ramp * duration_per_point)[:, None] * rates
+    with np.errstate(over="ignore"):  # an infinite mean is rejected below
+        means = (ramp * duration_per_point)[:, None] * rates
+    # the largest mean numpy's Poisson sampler takes ("lam value too large")
+    limit = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
+    if not means.max() <= limit:
+        raise ValueError(
+            f"duration_per_point = {duration_per_point} gives Poisson means up to "
+            f"{means.max():.3g} counts, above the sampler's limit of {limit:.3g}"
+        )
     counts = np.random.default_rng(seed).poisson(means).astype(float)
     est1, est2, estc = (counts / duration_per_point).T
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -1,5 +1,6 @@
 """Command-line interface: reports, exit codes, files and config round-trips."""
 import json
+import math
 import os
 
 import pytest
@@ -67,6 +68,13 @@ def test_state_rejects_non_finite_source_settings(capsys, bad, name):
 def test_state_requires_exactly_one_input_style(capsys):
     assert main(["state", "--chi", "30", "--c", "1,0,0"]) == EXIT_USAGE
     assert main(["state"]) == EXIT_USAGE
+
+
+def test_state_at_the_float_limit_is_finite(capsys):
+    assert main(["state", "--chi", "1e308", "--json"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert all(map(math.isfinite, report["stokes"].values()))
+    assert math.isfinite(report["subtense_angle"])
 
 
 def test_state_json_report(capsys):
@@ -257,6 +265,23 @@ def test_sweep_g2_beyond_the_float_range_exits_2(tmp_path, capsys, monkeypatch, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: g2 is not finite") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_at_the_float_limit_is_finite(tmp_path, capsys):
+    out = tmp_path / "big.csv"
+    assert main(["sweep", "chi", "--grid", "1e308:1.7e308:1e307", "--out", str(out)]) == EXIT_OK
+    rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+    assert len(rows) == 8 and all(math.isfinite(float(x)) for row in rows for x in row)
+    assert "min g2 = " in capsys.readouterr().out
+
+
+def test_sweep_poisson_means_beyond_the_sampler_name_the_duration(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "chi", "--seed", "1", "--duration", "1e300", "--out", str(out)]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: duration_per_point = 1e+300") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 

@@ -202,6 +202,11 @@ def test_rate_closed_form_anchors():
     assert abs(rate_closed_form(0.0, 90.0, 90.0) - 1.0) < 1e-12
 
 
+def test_rate_closed_form_is_finite_near_the_float_limit():
+    # 2 chi is formed in radians, so a finite chi never overflows (no warning)
+    assert math.isfinite(rate_closed_form(1e308, 0.0, 0.0))
+
+
 def test_coincidence_matches_closed_form_on_dense_grid():
     chis = np.arange(0.0, 91.0, 1.0)
     zetas = np.arange(0.0, 180.0, 1.0)
@@ -716,6 +721,10 @@ def test_simulate_counts_rejects_bad_duration():
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="duration_per_point"):
             simulate_counts(base, bad, seed=1)
+    # means numpy's Poisson sampler rejects, finite or beyond the float range
+    for large in (1e300, 1e308):
+        with pytest.raises(ValueError, match="duration_per_point = .* Poisson means"):
+            simulate_counts(base, large, seed=1)
 
 
 def test_simulate_counts_rejects_bad_drift():
