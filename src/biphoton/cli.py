@@ -87,14 +87,16 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _check(what: str, ok):
-    """The check that accepts the values for which ok() is true."""
+def _check(what: str, ok, **argv):
+    """The check that accepts the values for which ok() is true.  argv holds
+    the add_argument keywords that read such a value from the command line."""
 
     def check(key: str, value):
         if not ok(value):
             raise CliError(f"{key}: expected {what}, got {_shown(value)}")
         return value
 
+    check.argv = argv
     return check
 
 
@@ -105,14 +107,18 @@ def _is_real(value) -> bool:
 
 
 def _one_of(*choices: str):
-    return _check(f"one of {', '.join(choices)}", lambda v: type(v) is str and v in choices)
+    return _check(
+        f"one of {', '.join(choices)}", lambda v: type(v) is str and v in choices, choices=choices
+    )
 
 
-_real = _check("a real number", _is_real)
+_real = _check("a real number", _is_real, type=float)
 _text = _check("a string", lambda v: type(v) is str)
-_flag = _check("true or false", lambda v: type(v) is bool)
+_flag = _check("true or false", lambda v: type(v) is bool, action="store_true")
 _path = _check("a string or null", lambda v: v is None or type(v) is str)
-_seed = _check("an integer >= 0 or null", lambda v: v is None or (type(v) is int and v >= 0))
+_seed = _check(
+    "an integer >= 0 or null", lambda v: v is None or (type(v) is int and v >= 0), type=int
+)
 _object = _check("a JSON object", lambda v: type(v) is dict)
 _amplitudes = _check(
     "three [re, im] pairs of real numbers",
@@ -133,50 +139,81 @@ def _grid(key: str, value):
 _REQUIRED = object()  # a key without a default
 _UNSET = object()  # left out when not given: the library's default applies
 
-_COMMANDS = ("state", "partner", "sweep")
+_COMMANDS = {
+    "state": "report a pair state from source settings or amplitudes",
+    "partner": "solve for the polarization completing an orthogonal pair",
+    "sweep": "scan a source or filter angle and write a rate table",
+}
 # per command; the first is the default
 _FORMATS = {"state": ("text", "json"), "partner": ("text", "json"), "sweep": ("csv", "json")}
 _KINDS = ("chi", "polarizer")
-_WHICH = ("P1", "P2")
 _ZETA1, _ZETA2 = 45.0, 60.0  # default angles of polarizers P1 and P2, deg
+# the forms of each command: state takes either amplitudes or a source
+# setting, a sweep scans chi or one polarizer
+_STATE, _PARTNER, _SWEEP = ("state:c", "state:chi"), ("partner",), ("sweep:chi", "sweep:polarizer")
+_ALL = _STATE + _PARTNER + _SWEEP
 
-_TOP = {
-    "command": (_one_of(*_COMMANDS), _REQUIRED),
-    "params": (_object, _REQUIRED),
-    "output_format": (_text, _UNSET),  # checked per command
-    "output_path": (_path, None),
-    "seed": (_seed, None),
-    "rate_model": (_object, _UNSET),
-}
-_DPHI = (_real, 180.0)
-_SWEEP = {
-    "kind": (_one_of(*_KINDS), _REQUIRED),
-    "dphi": _DPHI,
-    "duration": (_real, 1.0),
-    "drift": (_real, 0.0),
-    "grid": (_grid, _UNSET),
-}
-# params per command, and per form of the command: state takes either
-# amplitudes or a source setting, a sweep scans chi or one polarizer
-_PARAMS = {
-    ("state", "c"): {"c": (_amplitudes, _REQUIRED)},
-    ("state", "chi"): {"chi": (_real, _REQUIRED), "dphi": _DPHI},
-    ("partner", None): {
-        "a": (_text, _REQUIRED),
-        "b": (_text, _REQUIRED),
-        "c": (_text, _REQUIRED),
-        "globe": (_flag, False),
-    },
-    ("sweep", "chi"): {**_SWEEP, "zeta1": (_real, _ZETA1), "zeta2": (_real, _ZETA2)},
-    ("sweep", "polarizer"): {
-        **_SWEEP,
-        "chi": (_real, _REQUIRED),
-        "which": (_one_of(*_WHICH), "P1"),
-        # the polarizer held fixed keeps its default angle
-        "fixed_zeta": (_real, lambda params: _ZETA2 if params["which"] == "P1" else _ZETA1),
-    },
-}
-_RATE_MODEL = {f.name: (_real, _UNSET) for f in dataclasses.fields(RateModel)}
+# The command line and the run schema, one row per option and config key,
+# in --help order: the flag or positional ("" for a key no option sets),
+# the key in a run's config as errors name it (None for an option outside
+# the run), the command forms that take it, its check (which also says how
+# argv reads it, see _argv), its default and its --help text.  The tests
+# pin the defaults that the library's signatures repeat.
+_OPTIONS = (
+    ("", "command", _ALL, _one_of(*_COMMANDS), _REQUIRED, None),
+    ("", "params", _ALL, _object, _REQUIRED, None),
+    ("a", "params.a", _PARTNER, _text, _REQUIRED, "first half of the fixed pair"),
+    ("b", "params.b", _PARTNER, _text, _REQUIRED, "second half of the fixed pair"),
+    ("c", "params.c", _PARTNER, _text, _REQUIRED, "chosen half of the partner pair"),
+    ("kind", "params.kind", _SWEEP, _one_of(*_KINDS), _REQUIRED, None),
+    ("--z1", "params.zeta1", ("sweep:chi",), _real, _ZETA1, "polarizer P1 angle"),
+    ("--z2", "params.zeta2", ("sweep:chi",), _real, _ZETA2, "polarizer P2 angle"),
+    ("--chi", "params.chi", ("state:chi", "sweep:polarizer"), _real, _REQUIRED,
+     "pump half-wave-plate angle, deg"),
+    ("--dphi", "params.dphi", ("state:chi", *_SWEEP), _real, 180.0, "quartz phase, deg"),
+    ("--c", "params.c", ("state:c",), _amplitudes, _REQUIRED,
+     "qutrit amplitudes 'c1,c2,c3' (complex allowed)"),
+    ("--globe", "params.globe", _PARTNER, _flag, False,
+     "interpret inputs as globe places or 'lat,lon'"),
+    ("--which", "params.which", ("sweep:polarizer",), _one_of("P1", "P2"), "P1",
+     "polarizer to scan"),
+    # the polarizer held fixed keeps its default angle
+    ("", "params.fixed_zeta", ("sweep:polarizer",), _real,
+     lambda params: _ZETA2 if params["which"] == "P1" else _ZETA1, None),
+    ("--grid", "params.grid", _SWEEP, _grid, _UNSET, "scan grid 'start:stop:step' in degrees"),
+    # output_format is checked per command, against _FORMATS
+    ("--json", "output_format", _STATE + _PARTNER, _text, _UNSET, "machine-readable output"),
+    ("--format", "output_format", _SWEEP, _text, _UNSET, None),
+    ("--out", "output_path", _ALL, _path, None,
+     "output path (default: stdout or sweep_<kind>.<format>)"),
+    ("--seed", "seed", _SWEEP, _seed, None, "sample Poisson counts with this seed"),
+    ("", "rate_model", _ALL, _object, _UNSET, None),
+    ("--duration", "params.duration", _SWEEP, _real, 1.0, "seconds per grid point"),
+    ("--drift", "params.drift", _SWEEP, _real, 0.0, "total fractional pump-power decrease"),
+    ("--save-config", None, _ALL, None, None, "save the resolved config as JSON"),
+    ("--pair-rate", "rate_model.pair_rate", _SWEEP, _real, _UNSET, "pairs/s at the beamsplitter"),
+    ("--eta1", "rate_model.eta1", _SWEEP, _real, _UNSET, "detector 1 efficiency"),
+    ("--eta2", "rate_model.eta2", _SWEEP, _real, _UNSET, "detector 2 efficiency"),
+    ("--tc", "rate_model.coincidence_window", _SWEEP, _real, _UNSET,
+     "coincidence window in seconds"),
+    ("--bg1", "rate_model.background1", _SWEEP, _real, _UNSET, "detector 1 background counts/s"),
+    ("--bg2", "rate_model.background2", _SWEEP, _real, _UNSET, "detector 2 background counts/s"),
+)
+
+
+def _section(section: str, form: str | None = None) -> dict:
+    """Check and default per key of one section of the run schema ("" for
+    the top level), from the rows that take form if one is given."""
+    return {
+        key.rpartition(".")[2]: (check, default)
+        for _, key, forms, check, default, _ in _OPTIONS
+        if key and key.rpartition(".")[0] == section and (form is None or form in forms)
+    }
+
+
+_TOP = _section("")
+_PARAMS = {form: _section("params", form) for form in _ALL}
+_RATE_MODEL = _section("rate_model")
 
 
 def _checked(where: str, obj: dict, schema: dict) -> dict:
@@ -197,16 +234,16 @@ def _checked(where: str, obj: dict, schema: dict) -> dict:
     return out
 
 
-def _form(command: str, params: dict):
+def _form(command: str, params: dict) -> str:
     if command == "state":
         if ("c" in params) == ("chi" in params):
             raise CliError("params.c, params.chi: give exactly one of the two")
-        return "c" if "c" in params else "chi"
+        return "state:c" if "c" in params else "state:chi"
     if command == "sweep":
         if "kind" not in params:
             raise CliError("params.kind: required key is missing")
-        return _SWEEP["kind"][0]("params.kind", params["kind"])
-    return None
+        return "sweep:" + _one_of(*_KINDS)("params.kind", params["kind"])
+    return command
 
 
 @dataclass
@@ -246,7 +283,7 @@ class RunConfig:
         params = top["params"]
         return cls(
             command=command,
-            params=_checked("params.", params, _PARAMS[command, _form(command, params)]),
+            params=_checked("params.", params, _PARAMS[_form(command, params)]),
             output_format=output_format,
             output_path=top["output_path"],
             seed=top["seed"],
@@ -486,15 +523,20 @@ def run_config(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _add_option(sub: argparse.ArgumentParser, flag: str, key: str, help: str, **kwargs) -> None:
-    """An option stored under its run-schema key, shown in --help by its flag."""
-    sub.add_argument(flag, dest=key, metavar=flag.lstrip("-").upper(), help=help, **kwargs)
+def _argv(command: str, key: str | None, check) -> dict:
+    """add_argument's keywords for an option of the table: its check's,
+    except that each command reads output_format its own way."""
+    if key != "output_format":
+        return getattr(check, "argv", {})  # _grid reads plain text
+    if command == "sweep":
+        return {"choices": _FORMATS[command]}
+    return {"action": "store_const", "const": "json"}  # text unless --json
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The command line.  Each command stores its options under their
-    run-schema keys and leaves out the options not given, so the defaults
-    come from the run schema only."""
+    """The command line, built from the option table.  Each command leaves
+    out the options not given, so the defaults come from the run schema
+    only."""
     parser = argparse.ArgumentParser(
         prog="biphoton",
         description="Photon-pair polarization states, orthogonality and "
@@ -502,73 +544,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="run from a saved JSON config file")
     subparsers = parser.add_subparsers(dest="command")
-
-    def add_command(name: str, help: str) -> argparse.ArgumentParser:
-        return subparsers.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
-
-    p_state = add_command("state", "report a pair state from source settings or amplitudes")
-    p_state.add_argument("--chi", type=float, help="pump half-wave-plate angle, deg")
-    p_state.add_argument("--dphi", type=float, help="quartz phase, deg")
-    p_state.add_argument("--c", help="qutrit amplitudes 'c1,c2,c3' (complex allowed)")
-
-    p_partner = add_command("partner", "solve for the polarization completing an orthogonal pair")
-    p_partner.add_argument("a", help="first half of the fixed pair")
-    p_partner.add_argument("b", help="second half of the fixed pair")
-    p_partner.add_argument("c", help="chosen half of the partner pair")
-    p_partner.add_argument(
-        "--globe", action="store_true", help="interpret inputs as globe places or 'lat,lon'"
-    )
-
-    for sub, json_help in ((p_state, "machine-readable output"), (p_partner, None)):
-        sub.add_argument(
-            "--json", dest="output_format", action="store_const", const="json", help=json_help
-        )
-        _add_option(sub, "--out", "output_path", "write the report to this path")
-        sub.add_argument("--save-config", help="save the resolved config as JSON")
-
-    p_sweep = add_command("sweep", "scan a source or filter angle and write a rate table")
-    p_sweep.add_argument("kind", choices=_KINDS)
-    _add_option(p_sweep, "--z1", "zeta1", "polarizer P1 angle", type=float)
-    _add_option(p_sweep, "--z2", "zeta2", "polarizer P2 angle", type=float)
-    p_sweep.add_argument("--chi", type=float, help="pump angle (polarizer sweep)")
-    p_sweep.add_argument("--dphi", type=float)
-    p_sweep.add_argument("--which", choices=_WHICH, help="polarizer to scan")
-    p_sweep.add_argument("--grid", help="scan grid 'start:stop:step' in degrees")
-    p_sweep.add_argument("--format", dest="output_format", choices=_FORMATS["sweep"])
-    _add_option(p_sweep, "--out", "output_path", "output path (default sweep_<kind>.<format>)")
-    p_sweep.add_argument("--seed", type=int, help="sample Poisson counts with this seed")
-    p_sweep.add_argument("--duration", type=float, help="seconds per grid point")
-    p_sweep.add_argument("--drift", type=float, help="total fractional pump-power decrease")
-    p_sweep.add_argument("--save-config", help="save the resolved config as JSON")
-    p_sweep.add_argument("--pair-rate", type=float, help="pairs/s at the beamsplitter")
-    p_sweep.add_argument("--eta1", type=float, help="detector 1 efficiency")
-    p_sweep.add_argument("--eta2", type=float, help="detector 2 efficiency")
-    _add_option(p_sweep, "--tc", "coincidence_window", "coincidence window in seconds", type=float)
-    _add_option(p_sweep, "--bg1", "background1", "detector 1 background counts/s", type=float)
-    _add_option(p_sweep, "--bg2", "background2", "detector 2 background counts/s", type=float)
+    for command, help in _COMMANDS.items():
+        sub = subparsers.add_parser(command, help=help, argument_default=argparse.SUPPRESS)
+        for flag, key, forms, check, _, help in _OPTIONS:
+            if flag and any(form.partition(":")[0] == command for form in forms):
+                sub.add_argument(flag, help=help, **_argv(command, key, check))
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """Sort a parsed command line by the schema's tables onto the JSON shape
+    """Sort a parsed command line by the option table onto the JSON shape
     of a run, then check it with RunConfig.from_json_obj like any --config
     file."""
+    # argparse names each option's value after its flag
+    keys = {flag.lstrip("-").replace("-", "_"): key for flag, key, *_ in _OPTIONS if flag}
     obj = {"params": {}, "rate_model": {}}
-    for key, value in vars(args).items():
-        if key in _TOP:
-            obj[key] = value
-        elif key in _RATE_MODEL:
-            obj["rate_model"][key] = value
-        elif key not in ("config", "save_config"):
-            obj["params"][key] = value
+    for dest, value in vars(args).items():
+        if dest not in ("config", "save_config"):
+            section, _, key = keys.get(dest, dest).rpartition(".")
+            (obj[section] if section else obj)[key] = value
     params = obj["params"]
     if args.command == "state" and "c" in params:
         params["c"] = _parse_complex_triple(params["c"])
     if "grid" in params:
         params["grid"] = _parse_grid(params["grid"])
     if args.command == "sweep":
-        ignored = ("chi", "which") if params["kind"] == "chi" else ("zeta1", "zeta2")
-        dropped = {key: params.pop(key) for key in ignored if key in params}
+        # a sweep leaves out the options its kind does not take
+        schema = _PARAMS["sweep:" + params["kind"]]
+        dropped = {key: params.pop(key) for key in list(params) if key not in schema}
         # a polarizer sweep holds P2 at --z2, unless --which P2 scans it
         fixed = dropped.get("zeta1" if params.get("which") == "P2" else "zeta2")
         if fixed is not None:

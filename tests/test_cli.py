@@ -1,11 +1,13 @@
 """Command-line interface: reports, exit codes, files and config round-trips."""
+import dataclasses
+import inspect
 import json
 import math
 import os
 
 import pytest
 
-from biphoton import cli
+from biphoton import RateModel, SourceSetting, cli, sweep_chi, sweep_filter
 from biphoton.cli import (
     EXIT_DEGENERATE,
     EXIT_IO,
@@ -579,6 +581,21 @@ def test_config_defaults_match_the_command_line(tmp_path, capsys, monkeypatch):
     ):
         expected = cli.config_from_args(cli.build_parser().parse_args(argv))
         assert RunConfig.from_json_obj(obj) == expected
+
+
+def test_run_defaults_are_the_library_defaults():
+    chi, polarizer = cli._PARAMS["sweep:chi"], cli._PARAMS["sweep:polarizer"]
+    for sweep in (sweep_chi, sweep_filter):
+        library = inspect.signature(sweep).parameters
+        for key, name in (("dphi", "delta_phi"), ("duration", "duration_per_point"),
+                          ("drift", "pump_drift")):
+            assert chi[key][1] == polarizer[key][1] == library[name].default, (sweep, key)
+    library = inspect.signature(sweep_filter).parameters
+    assert polarizer["which"][1] == library["which_filter"].default
+    fixed_zeta = polarizer["fixed_zeta"][1]({"which": library["which_filter"].default})
+    assert fixed_zeta == chi["zeta2"][1] == library["fixed_zeta"].default
+    assert cli._PARAMS["state:chi"]["dphi"][1] == SourceSetting(0.0).delta_phi
+    assert list(cli._RATE_MODEL) == [f.name for f in dataclasses.fields(RateModel)]
 
 
 def _config_of(argv: list[str]) -> dict:
