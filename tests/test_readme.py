@@ -3,6 +3,7 @@
 The Python quick tour is executed statement by statement; each expression's
 value, rounded to two decimals, must appear in the comment that follows it.
 Every `biphoton` line of the CLI block runs in-process and must exit 0.
+The two config tables must read as the CLI's option table renders them.
 """
 import ast
 import dataclasses
@@ -125,7 +126,7 @@ def _options(key: str) -> str:
     return ", ".join(f"`{flag}`" for flag, k, *_ in cli._OPTIONS if k == key and flag)
 
 
-def render_config_tables() -> str:
+def render_config_tables() -> tuple[str, str]:
     top = ["| Key | Option | Type | Default |", "|---|---|---|---|"]
     for name, (check, default) in cli._TOP.items():
         top.append(f"| `{name}` | {_options(name)} | {_type(check)} | {_default(default)} |")
